@@ -28,7 +28,6 @@
 //          [--reroutes N] [--lease-slack S] [--cap-seconds S]
 //          [--backend dense|bell] [--seed K] [--json PATH|-]
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -55,41 +54,11 @@ struct Options {
   double cap_seconds = 120.0;
   qstate::BackendKind backend = qstate::BackendKind::kBellDiagonal;
   std::uint64_t seed = 7;
-  std::string json_path = "BENCH_adaptive_routing.json";
 };
 
-struct Row {
-  const char* mode = "static";
-  std::size_t reroute_budget = 0;
-  const char* backend = "bell-diagonal";
-  std::size_t nodes = 0;
-  std::size_t links = 0;
-  std::uint64_t submitted = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t blocked = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t rerouted = 0;
-  std::uint64_t abandoned = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t lease_expiries = 0;
-  double completion_rate = 0.0;
-  double mean_fidelity = 0.0;
-  double fidelity_sum = 0.0;
-  double mean_route_hops = 0.0;
-  double sim_seconds = 0.0;
-  double wall_seconds = 0.0;
-  std::uint64_t events = 0;
-};
-
-double wall_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// One full scenario run at the given reroute budget.
-Row run_mode(const Options& opt, const char* mode, std::size_t reroutes) {
+/// One full scenario run at the given reroute budget; its row joins `h`.
+Row run_mode(Harness& h, const Options& opt, const char* mode,
+             std::size_t reroutes) {
   routing::Graph grid = routing::Graph::grid(opt.rows, opt.cols);
   // The middle corridor edge of every row but the last: between columns
   // mid and mid + 1.
@@ -132,7 +101,7 @@ Row run_mode(const Options& opt, const char* mode, std::size_t reroutes) {
   rc.k_candidates = 4;
   rc.max_reroutes = reroutes;
   rc.lease_slack = opt.lease_slack;
-  routing::Router router(grid, *net, *swap, rc, &collector);
+  routing::Router router(grid, *swap, rc, &collector);
   const double menu[] = {0.7};
   router.annotate_from_network(menu);
 
@@ -152,165 +121,86 @@ Row run_mode(const Options& opt, const char* mode, std::size_t reroutes) {
     router.submit(req);
   }
 
-  const auto start = std::chrono::steady_clock::now();
+  const Stopwatch wall;
   const auto& stats = router.stats();
   while (stats.completed + stats.failed < opt.rows &&
          sim::to_seconds(net->simulator().now()) < opt.cap_seconds) {
     net->run_for(sim::duration::milliseconds(10));
   }
 
+  const double wall_seconds = wall.seconds();
   const auto& nl = collector.kind(core::Priority::kNetworkLayer);
+  const std::uint64_t events = net->simulator().events_processed();
   Row row;
-  row.mode = mode;
-  row.reroute_budget = reroutes;
-  row.backend = net->registry().backend().name();
-  row.nodes = net->num_nodes();
-  row.links = net->num_links();
-  row.submitted = stats.submitted;
-  row.admitted = stats.admitted;
-  row.blocked = stats.blocked;
-  row.completed = stats.completed;
-  row.failed = stats.failed;
-  row.rerouted = stats.rerouted;
-  row.abandoned = stats.abandoned;
-  row.delivered = stats.pairs_delivered;
-  row.lease_expiries = router.reservations().lease_expiries();
-  row.completion_rate = static_cast<double>(stats.completed) /
-                        static_cast<double>(opt.rows);
-  row.mean_fidelity = nl.fidelity.mean();
-  row.fidelity_sum =
-      nl.fidelity.mean() * static_cast<double>(nl.fidelity.count());
-  row.mean_route_hops = collector.route_length().mean();
-  row.sim_seconds = sim::to_seconds(net->simulator().now());
-  row.wall_seconds = wall_since(start);
-  row.events = net->simulator().events_processed();
-  return row;
-}
-
-void print_row(const Row& r) {
-  std::printf(
-      "%-8s %6zu %4llu %4llu %5llu %5llu %5llu %6llu %5llu %6llu %9.4f "
-      "%8.2f %8.2f %10.0f\n",
-      r.mode, r.reroute_budget,
-      static_cast<unsigned long long>(r.submitted),
-      static_cast<unsigned long long>(r.completed),
-      static_cast<unsigned long long>(r.failed),
-      static_cast<unsigned long long>(r.rerouted),
-      static_cast<unsigned long long>(r.abandoned),
-      static_cast<unsigned long long>(r.blocked),
-      static_cast<unsigned long long>(r.delivered),
-      static_cast<unsigned long long>(r.lease_expiries), r.mean_fidelity,
-      r.sim_seconds, r.wall_seconds,
-      r.wall_seconds > 0.0 ? static_cast<double>(r.events) / r.wall_seconds
-                           : 0.0);
-}
-
-void write_json(const std::string& path, const Row& st, const Row& ad,
-                const Options& opt) {
-  if (path == "-") return;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  const auto row = [f](const Row& r, const char* tail) {
-    std::fprintf(
-        f,
-        "    {\"mode\": \"%s\", \"reroute_budget\": %zu, \"backend\": "
-        "\"%s\", \"nodes\": %zu, \"links\": %zu, \"submitted\": %llu, "
-        "\"admitted\": %llu, \"blocked\": %llu, \"completed\": %llu, "
-        "\"failed\": %llu, \"rerouted\": %llu, \"abandoned\": %llu, "
-        "\"delivered\": %llu, \"lease_expiries\": %llu, "
-        "\"completion_rate\": %.6f, \"mean_fidelity\": %.6f, "
-        "\"fidelity_sum\": %.6f, \"mean_route_hops\": %.3f, "
-        "\"sim_seconds\": %.3f, \"wall_seconds\": %.4f, \"events\": "
-        "%llu, \"events_per_sec\": %.1f}%s\n",
-        r.mode, r.reroute_budget, r.backend, r.nodes, r.links,
-        static_cast<unsigned long long>(r.submitted),
-        static_cast<unsigned long long>(r.admitted),
-        static_cast<unsigned long long>(r.blocked),
-        static_cast<unsigned long long>(r.completed),
-        static_cast<unsigned long long>(r.failed),
-        static_cast<unsigned long long>(r.rerouted),
-        static_cast<unsigned long long>(r.abandoned),
-        static_cast<unsigned long long>(r.delivered),
-        static_cast<unsigned long long>(r.lease_expiries),
-        r.completion_rate, r.mean_fidelity, r.fidelity_sum,
-        r.mean_route_hops, r.sim_seconds, r.wall_seconds,
-        static_cast<unsigned long long>(r.events),
-        r.wall_seconds > 0.0
-            ? static_cast<double>(r.events) / r.wall_seconds
-            : 0.0,
-        tail);
-  };
-  std::fprintf(f,
-               "{\n  \"bench\": \"adaptive_routing\",\n  \"topology\": "
-               "\"grid%zux%zu-degraded-mid-column\",\n  \"rows\": [\n",
-               opt.rows, opt.cols);
-  row(st, ",");
-  row(ad, "");
-  std::fprintf(f,
-               "  ],\n  \"adaptive_completion_gain\": %.6f,\n"
-               "  \"adaptive_fidelity_sum_gain\": %.6f\n}\n",
-               ad.completion_rate - st.completion_rate,
-               ad.fidelity_sum - st.fidelity_sum);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--rows R] [--cols C] [--pairs P] "
-               "[--reroutes N] [--lease-slack S] [--cap-seconds S] "
-               "[--backend dense|bell] %s\n",
-               argv0, qlink::bench::Args::kUsage);
-  std::exit(2);
+  row.text("mode", mode)
+      .count("reroute_budget", reroutes)
+      .text("backend", net->registry().backend().name())
+      .count("nodes", net->num_nodes())
+      .count("links", net->num_links())
+      .count("submitted", stats.submitted)
+      .count("admitted", stats.admitted)
+      .count("blocked", stats.blocked)
+      .count("completed", stats.completed)
+      .count("failed", stats.failed)
+      .count("rerouted", stats.rerouted)
+      .count("abandoned", stats.abandoned)
+      .count("delivered", stats.pairs_delivered)
+      .count("lease_expiries", router.reservations().lease_expiries())
+      .num("completion_rate",
+           static_cast<double>(stats.completed) /
+               static_cast<double>(opt.rows),
+           6)
+      .num("mean_fidelity", nl.fidelity.mean(), 6)
+      .num("fidelity_sum",
+           nl.fidelity.mean() * static_cast<double>(nl.fidelity.count()), 6)
+      .num("mean_route_hops", collector.route_length().mean(), 3)
+      .num("sim_seconds", sim::to_seconds(net->simulator().now()), 3)
+      .num("wall_seconds", wall_seconds, 4)
+      .count("events", events)
+      .num("events_per_sec",
+           per_second(static_cast<double>(events), wall_seconds), 1);
+  return h.add(std::move(row));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  bench::Args shared;
-  shared.seed = opt.seed;
-  shared.json_path = opt.json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (shared.consume(argc, argv, i, [&] { usage(argv[0]); })) continue;
-    const auto arg = std::string(argv[i]);
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--rows") {
-      opt.rows = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--cols") {
-      opt.cols = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--pairs") {
-      opt.pairs = static_cast<std::uint16_t>(
-          std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--reroutes") {
-      opt.reroutes = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--lease-slack") {
-      opt.lease_slack = std::strtod(next(), nullptr);
-    } else if (arg == "--cap-seconds") {
-      opt.cap_seconds = std::strtod(next(), nullptr);
-    } else if (arg == "--backend") {
-      const auto kind = qstate::parse_backend_kind(next());
-      if (!kind) usage(argv[0]);
-      opt.backend = *kind;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  opt.seed = shared.seed;
-  opt.json_path = shared.json_path;
+  Harness h("adaptive_routing");
+  h.parse(argc, argv,
+          "[--rows R] [--cols C] [--pairs P] [--reroutes N] "
+          "[--lease-slack S] [--cap-seconds S] [--backend dense|bell]",
+          [&opt](const std::string& arg, auto next) {
+            if (arg == "--rows") {
+              opt.rows = std::strtoull(next(), nullptr, 10);
+            } else if (arg == "--cols") {
+              opt.cols = std::strtoull(next(), nullptr, 10);
+            } else if (arg == "--pairs") {
+              opt.pairs = static_cast<std::uint16_t>(
+                  std::strtoul(next(), nullptr, 10));
+            } else if (arg == "--reroutes") {
+              opt.reroutes = std::strtoull(next(), nullptr, 10);
+            } else if (arg == "--lease-slack") {
+              opt.lease_slack = std::strtod(next(), nullptr);
+            } else if (arg == "--cap-seconds") {
+              opt.cap_seconds = std::strtod(next(), nullptr);
+            } else if (arg == "--backend") {
+              const auto kind = qstate::parse_backend_kind(next());
+              if (!kind) return false;
+              opt.backend = *kind;
+            } else {
+              return false;
+            }
+            return true;
+          });
+  opt.seed = h.args.seed;
   if (opt.rows < 2 || opt.cols < 3 || opt.pairs < 1 ||
       opt.reroutes < 1 || opt.cap_seconds <= 0.0) {
     std::fprintf(stderr,
                  "need rows >= 2 (one clean row), cols >= 3 (a middle "
                  "edge to degrade), pairs/reroutes >= 1, positive "
                  "cap-seconds\n");
-    usage(argv[0]);
+    h.usage();
   }
 
   print_header(
@@ -319,27 +209,45 @@ int main(int argc, char** argv) {
   std::printf("%zux%zu grid, %zu requests (one per row), %u pair(s) "
               "each, degraded middle column in all but the last row\n\n",
               opt.rows, opt.cols, opt.rows, opt.pairs);
-  std::printf("%-8s %6s %4s %4s %5s %5s %5s %6s %5s %6s %9s %8s %8s "
-              "%10s\n",
-              "mode", "budget", "subm", "done", "fail", "rert", "aban",
-              "blckd", "pairs", "expry", "fidelity", "sim(s)", "wall(s)",
-              "events/s");
+  h.columns({{"mode", "mode", -8},
+             {"reroute_budget", "budget", 6},
+             {"submitted", "subm", 4},
+             {"completed", "done", 4},
+             {"failed", "fail", 5},
+             {"rerouted", "rert", 5},
+             {"abandoned", "aban", 5},
+             {"blocked", "blckd", 6},
+             {"delivered", "pairs", 5},
+             {"lease_expiries", "expry", 6},
+             {"mean_fidelity", "fidelity", 9},
+             {"sim_seconds", "sim(s)", 8},
+             {"wall_seconds", "wall(s)", 8},
+             {"events_per_sec", "events/s", 11}});
 
-  const Row st = run_mode(opt, "static", 0);
-  print_row(st);
-  const Row ad = run_mode(opt, "adaptive", opt.reroutes);
-  print_row(ad);
+  const Row st = run_mode(h, opt, "static", 0);
+  const Row ad = run_mode(h, opt, "adaptive", opt.reroutes);
+  const double completion_gain =
+      ad.get("completion_rate") - st.get("completion_rate");
+  const double fidelity_sum_gain =
+      ad.get("fidelity_sum") - st.get("fidelity_sum");
 
   std::printf("\n  -> adaptive re-routing: completion rate %.3f vs "
               "%.3f static (gain %+.3f), delivered fidelity sum %.3f "
               "vs %.3f (gain %+.3f)\n",
-              ad.completion_rate, st.completion_rate,
-              ad.completion_rate - st.completion_rate, ad.fidelity_sum,
-              st.fidelity_sum, ad.fidelity_sum - st.fidelity_sum);
-  write_json(opt.json_path, st, ad, opt);
+              ad.get("completion_rate"), st.get("completion_rate"),
+              completion_gain, ad.get("fidelity_sum"),
+              st.get("fidelity_sum"), fidelity_sum_gain);
+  Row summary;
+  summary
+      .text("topology", "grid" + std::to_string(opt.rows) + "x" +
+                            std::to_string(opt.cols) +
+                            "-degraded-mid-column")
+      .num("adaptive_completion_gain", completion_gain, 6)
+      .num("adaptive_fidelity_sum_gain", fidelity_sum_gain, 6);
+  h.write(summary);
 
   // The bench's own acceptance bar (also enforced by CI's bench_diff
   // gate on the JSON): adaptive must strictly beat static on
   // completion rate.
-  return ad.completion_rate > st.completion_rate ? 0 : 1;
+  return completion_gain > 0.0 ? 0 : 1;
 }

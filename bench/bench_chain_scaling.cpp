@@ -23,7 +23,6 @@
 //   --json writes machine-readable results (default
 //   BENCH_chain_scaling.json in the working directory; "-" disables).
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -38,21 +37,6 @@ using namespace qlink;
 using namespace qlink::bench;
 
 namespace {
-
-struct Row {
-  std::size_t hops = 0;
-  const char* backend = "dense";
-  double sim_seconds = 0.0;
-  double wall_seconds = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t issued = 0;
-  std::uint64_t delivered = 0;
-  double throughput = 0.0;
-  double fidelity = 0.0;
-  double latency_ms = 0.0;
-  std::uint64_t swaps = 0;
-  qstate::BackendStats backend_stats;
-};
 
 Row run_row(std::size_t hops, qstate::BackendKind backend,
             double sim_seconds, std::uint64_t seed) {
@@ -91,83 +75,37 @@ Row run_row(std::size_t hops, qstate::BackendKind backend,
       net, swap, wl.traffic(), wl.tuning(), collector);
   workload::WorkloadDriver& driver = *driver_ptr;
 
-  const auto wall_start = std::chrono::steady_clock::now();
+  const Stopwatch wall;
   net.start();
   driver.start();
   net.run_for(sim::duration::seconds(sim_seconds));
   driver.stop();
-  const auto wall_end = std::chrono::steady_clock::now();
+  const double wall_seconds = wall.seconds();
 
   const auto& nl = collector.kind(core::Priority::kNetworkLayer);
+  const std::uint64_t events = net.simulator().events_processed();
+  const qstate::BackendStats& bs = net.registry().backend().stats();
   Row row;
-  row.hops = hops;
-  row.backend = net.registry().backend().name();
-  row.sim_seconds = sim_seconds;
-  row.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  row.events = net.simulator().events_processed();
-  row.issued = driver.requests_issued();
-  row.delivered = nl.pairs_delivered;
-  row.throughput = collector.throughput(core::Priority::kNetworkLayer);
-  row.fidelity = nl.fidelity.mean();
-  row.latency_ms = nl.pair_latency_s.mean() * 1e3;
-  row.swaps = swap.stats().swaps;
-  row.backend_stats = net.registry().backend().stats();
+  row.count("hops", hops)
+      .text("backend", net.registry().backend().name())
+      .num("sim_seconds", sim_seconds, 3)
+      .num("wall_seconds", wall_seconds, 4)
+      .count("events", events)
+      .num("events_per_sec",
+           per_second(static_cast<double>(events), wall_seconds), 1)
+      .count("issued", driver.requests_issued())
+      .count("delivered", nl.pairs_delivered)
+      .num("throughput_per_s",
+           collector.throughput(core::Priority::kNetworkLayer), 4)
+      .num("fidelity", nl.fidelity.mean(), 6)
+      .num("latency_ms", nl.pair_latency_s.mean() * 1e3, 3)
+      .count("swaps", swap.stats().swaps)
+      .count("fast_ops", bs.fast_ops)
+      .count("dense_ops", bs.dense_ops)
+      .count("promotions", bs.promotions)
+      .count("pool_hits", bs.pool_hits)
+      .count("pool_misses", bs.pool_misses);
   return row;
-}
-
-void print_row(const Row& r) {
-  std::printf(
-      "%5zu %-13s %9llu %9llu %12.2f %11.4f %11.2f %8llu %9.2f %11.0f\n",
-      r.hops, r.backend, static_cast<unsigned long long>(r.issued),
-      static_cast<unsigned long long>(r.delivered), r.throughput, r.fidelity,
-      r.latency_ms, static_cast<unsigned long long>(r.swaps), r.wall_seconds,
-      static_cast<double>(r.events) / r.wall_seconds);
-}
-
-void write_json(const std::string& path, const std::vector<Row>& rows) {
-  if (path == "-") return;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"chain_scaling\",\n  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"hops\": %zu, \"backend\": \"%s\", \"sim_seconds\": %.3f, "
-        "\"wall_seconds\": %.4f, \"events\": %llu, "
-        "\"events_per_sec\": %.1f, \"issued\": %llu, \"delivered\": %llu, "
-        "\"throughput_per_s\": %.4f, \"fidelity\": %.6f, "
-        "\"latency_ms\": %.3f, \"swaps\": %llu, \"fast_ops\": %llu, "
-        "\"dense_ops\": %llu, \"promotions\": %llu, \"pool_hits\": %llu, "
-        "\"pool_misses\": %llu}%s\n",
-        r.hops, r.backend, r.sim_seconds, r.wall_seconds,
-        static_cast<unsigned long long>(r.events),
-        static_cast<double>(r.events) / r.wall_seconds,
-        static_cast<unsigned long long>(r.issued),
-        static_cast<unsigned long long>(r.delivered), r.throughput,
-        r.fidelity, r.latency_ms, static_cast<unsigned long long>(r.swaps),
-        static_cast<unsigned long long>(r.backend_stats.fast_ops),
-        static_cast<unsigned long long>(r.backend_stats.dense_ops),
-        static_cast<unsigned long long>(r.backend_stats.promotions),
-        static_cast<unsigned long long>(r.backend_stats.pool_hits),
-        static_cast<unsigned long long>(r.backend_stats.pool_misses),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--hops N] [--seconds S] "
-               "[--backend dense|bell|both] %s\n",
-               argv0, qlink::bench::Args::kUsage);
-  std::exit(2);
 }
 
 }  // namespace
@@ -177,27 +115,21 @@ int main(int argc, char** argv) {
   double seconds = 5.0;
   std::string backend = "both";
 
-  bench::Args shared;
-  shared.json_path = "BENCH_chain_scaling.json";
-  for (int i = 1; i < argc; ++i) {
-    if (shared.consume(argc, argv, i, [&] { usage(argv[0]); })) continue;
-    const auto arg = std::string(argv[i]);
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--hops") {
-      hops = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--seconds") {
-      seconds = std::strtod(next(), nullptr);
-    } else if (arg == "--backend") {
-      backend = next();
-    } else {
-      usage(argv[0]);
-    }
-  }
-  const std::uint64_t seed = shared.seed;
-  const std::string json_path = shared.json_path;
+  Harness h("chain_scaling");
+  h.parse(argc, argv, "[--hops N] [--seconds S] [--backend dense|bell|both]",
+          [&](const std::string& arg, auto next) {
+            if (arg == "--hops") {
+              hops = static_cast<std::size_t>(
+                  std::strtoull(next(), nullptr, 10));
+            } else if (arg == "--seconds") {
+              seconds = std::strtod(next(), nullptr);
+            } else if (arg == "--backend") {
+              backend = next();
+            } else {
+              return false;
+            }
+            return true;
+          });
 
   std::vector<qstate::BackendKind> backends;
   if (backend == "both") {
@@ -207,36 +139,39 @@ int main(int argc, char** argv) {
     backends = {*kind};
   } else {
     std::fprintf(stderr, "unknown backend '%s'\n", backend.c_str());
-    usage(argv[0]);
+    h.usage();
   }
 
   print_header(
       "Chain scaling: end-to-end swapping over 1-4 hops "
       "(lab hardware, decoupled carbon memory)");
-  std::printf("%5s %-13s %9s %9s %12s %11s %11s %8s %9s %11s\n", "hops",
-              "backend", "issued", "delivered", "thr (1/s)", "fidelity",
-              "latency(ms)", "swaps", "wall(s)", "events/s");
+  h.columns({{"hops", "hops", 5},
+             {"backend", "backend", -13},
+             {"issued", "issued", 9},
+             {"delivered", "delivered", 9},
+             {"throughput_per_s", "thr (1/s)", 12},
+             {"fidelity", "fidelity", 11},
+             {"latency_ms", "latency(ms)", 11},
+             {"swaps", "swaps", 8},
+             {"wall_seconds", "wall(s)", 9},
+             {"events_per_sec", "events/s", 12}});
 
-  std::vector<Row> rows;
   const std::size_t lo = hops == 0 ? 1 : hops;
   const std::size_t hi = hops == 0 ? 4 : hops;
-  for (std::size_t h = lo; h <= hi; ++h) {
+  for (std::size_t n = lo; n <= hi; ++n) {
     double dense_wall = 0.0;
     for (const auto kind : backends) {
-      Row row = run_row(h, kind, seconds, seed);
-      print_row(row);
+      const Row& row = h.add(run_row(n, kind, seconds, h.args.seed));
       if (kind == qstate::BackendKind::kDense) {
-        dense_wall = row.wall_seconds;
+        dense_wall = row.get("wall_seconds");
       } else if (dense_wall > 0.0) {
         std::printf("      -> bell-diagonal speedup vs dense: %.2fx "
-                    "(promotions: %llu)\n",
-                    dense_wall / row.wall_seconds,
-                    static_cast<unsigned long long>(
-                        row.backend_stats.promotions));
+                    "(promotions: %.0f)\n",
+                    dense_wall / row.get("wall_seconds"),
+                    row.get("promotions"));
       }
-      rows.push_back(row);
     }
   }
-  write_json(json_path, rows);
+  h.write();
   return 0;
 }

@@ -13,7 +13,6 @@
 //
 // Usage: bench_micro_engine [--min-seconds S] [--json PATH|-]
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -36,15 +35,20 @@ namespace {
 struct Options {
   double min_seconds = 0.5;  // timed wall budget per case
   std::uint64_t seed = 7;
-  std::string json_path = "BENCH_micro_engine.json";
 };
 
-struct Row {
-  const char* scenario = "";
-  std::uint64_t ops = 0;
-  double wall_seconds = 0.0;
-  double events_per_sec = 0.0;  // ops/s; named for bench_diff's perf gate
-};
+/// A case's row: `ops` over `wall_seconds`, reported as events_per_sec
+/// (named for bench_diff's perf gate).
+Row timing_row(const char* scenario, std::uint64_t ops,
+               double wall_seconds) {
+  Row row;
+  row.text("scenario", scenario)
+      .count("ops", ops)
+      .num("wall_seconds", wall_seconds, 4)
+      .num("events_per_sec",
+           per_second(static_cast<double>(ops), wall_seconds), 1);
+  return row;
+}
 
 /// Run `body(batch_ops)` batches until `min_seconds` of wall time
 /// accrues (after one untimed warm-up batch), and report ops/s.
@@ -52,21 +56,15 @@ Row time_case(const char* scenario, double min_seconds,
               std::uint64_t batch_ops,
               const std::function<void(std::uint64_t)>& body) {
   body(batch_ops);  // warm-up: first-touch allocations, caches
-  Row row;
-  row.scenario = scenario;
-  const auto start = std::chrono::steady_clock::now();
+  std::uint64_t ops = 0;
+  const Stopwatch wall;
   double elapsed = 0.0;
   while (elapsed < min_seconds) {
     body(batch_ops);
-    row.ops += batch_ops;
-    elapsed = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
+    ops += batch_ops;
+    elapsed = wall.seconds();
   }
-  row.wall_seconds = elapsed;
-  row.events_per_sec =
-      elapsed > 0.0 ? static_cast<double>(row.ops) / elapsed : 0.0;
-  return row;
+  return timing_row(scenario, ops, elapsed);
 }
 
 Row bench_schedule_and_run(const Options& opt, const char* scenario,
@@ -177,107 +175,47 @@ Row bench_protocol_millisecond(const Options& opt) {
   link.egp_a().create(r);
 
   link.run_for(sim::duration::milliseconds(1));  // warm-up
-  Row row;
-  row.scenario = "protocol_simulated_millisecond";
   const std::uint64_t events_before = link.simulator().events_processed();
-  const auto start = std::chrono::steady_clock::now();
+  const Stopwatch wall;
   double elapsed = 0.0;
   while (elapsed < opt.min_seconds) {
     link.run_for(sim::duration::milliseconds(1));
-    elapsed = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
+    elapsed = wall.seconds();
   }
-  row.ops = link.simulator().events_processed() - events_before;
-  row.wall_seconds = elapsed;
-  row.events_per_sec =
-      elapsed > 0.0 ? static_cast<double>(row.ops) / elapsed : 0.0;
-  return row;
-}
-
-void print_row(const Row& r) {
-  std::printf("%-32s %12llu %9.3f %14.0f\n", r.scenario,
-              static_cast<unsigned long long>(r.ops), r.wall_seconds,
-              r.events_per_sec);
-}
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [--min-seconds S] %s\n", argv0,
-               qlink::bench::Args::kUsage);
-  std::exit(2);
+  return timing_row("protocol_simulated_millisecond",
+                    link.simulator().events_processed() - events_before,
+                    elapsed);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  bench::Args shared;
-  shared.seed = opt.seed;
-  shared.json_path = opt.json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (shared.consume(argc, argv, i, [&] { usage(argv[0]); })) continue;
-    const auto arg = std::string(argv[i]);
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--min-seconds") {
-      opt.min_seconds = std::strtod(next(), nullptr);
-    } else {
-      usage(argv[0]);
-    }
-  }
-  opt.seed = shared.seed;
-  opt.json_path = shared.json_path;
-  if (opt.min_seconds <= 0.0) usage(argv[0]);
+  Harness h("micro_engine");
+  h.parse(argc, argv, "[--min-seconds S]",
+          [&opt](const std::string& arg, auto next) {
+            if (arg != "--min-seconds") return false;
+            opt.min_seconds = std::strtod(next(), nullptr);
+            return true;
+          });
+  opt.seed = h.args.seed;
+  if (opt.min_seconds <= 0.0) h.usage();
 
   print_header("Engine micro-benchmarks: substrate hot-path throughput");
-  std::printf("%-32s %12s %9s %14s\n", "scenario", "ops", "wall(s)",
-              "events/s");
+  h.columns({{"scenario", "scenario", -32},
+             {"ops", "ops", 12},
+             {"wall_seconds", "wall(s)", 9},
+             {"events_per_sec", "events/s", 14}});
 
-  std::vector<Row> rows;
-  rows.push_back(
-      bench_schedule_and_run(opt, "event_schedule_and_run", false, false));
-  print_row(rows.back());
-  rows.push_back(bench_schedule_and_run(opt, "event_schedule_labeled",
-                                        true, false));
-  print_row(rows.back());
-  rows.push_back(bench_schedule_and_run(opt, "event_schedule_telemetry",
-                                        true, true));
-  print_row(rows.back());
-  rows.push_back(bench_periodic_timer(opt));
-  print_row(rows.back());
-  rows.push_back(bench_single_qubit_kraus(opt));
-  print_row(rows.back());
-  rows.push_back(bench_two_qubit_fidelity(opt));
-  print_row(rows.back());
-  rows.push_back(bench_herald_compute(opt));
-  print_row(rows.back());
-  rows.push_back(bench_herald_cached(opt));
-  print_row(rows.back());
-  rows.push_back(bench_protocol_millisecond(opt));
-  print_row(rows.back());
-
-  if (opt.json_path != "-") {
-    std::FILE* f = std::fopen(opt.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n",
-                   opt.json_path.c_str());
-    } else {
-      std::fprintf(f, "{\n  \"bench\": \"micro_engine\",\n  \"rows\": [\n");
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        std::fprintf(f,
-                     "    {\"scenario\": \"%s\", \"ops\": %llu, "
-                     "\"wall_seconds\": %.4f, \"events_per_sec\": %.1f}%s\n",
-                     r.scenario, static_cast<unsigned long long>(r.ops),
-                     r.wall_seconds, r.events_per_sec,
-                     i + 1 < rows.size() ? "," : "");
-      }
-      std::fprintf(f, "  ]\n}\n");
-      std::fclose(f);
-      std::printf("wrote %s\n", opt.json_path.c_str());
-    }
-  }
+  h.add(bench_schedule_and_run(opt, "event_schedule_and_run", false, false));
+  h.add(bench_schedule_and_run(opt, "event_schedule_labeled", true, false));
+  h.add(bench_schedule_and_run(opt, "event_schedule_telemetry", true, true));
+  h.add(bench_periodic_timer(opt));
+  h.add(bench_single_qubit_kraus(opt));
+  h.add(bench_two_qubit_fidelity(opt));
+  h.add(bench_herald_compute(opt));
+  h.add(bench_herald_cached(opt));
+  h.add(bench_protocol_millisecond(opt));
+  h.write();
   return 0;
 }

@@ -37,6 +37,10 @@
 //               router sees. The JSON's sharded_speedup scalar
 //               (mono wall / shard wall) is gated >= 2 in CI.
 //
+// The scale row runs under an obs::Session (Monitor + NetState); its
+// streams and report are what --monitor/--netstate/--report write (see
+// bench/common.hpp's Harness contract).
+//
 // Usage: bench_workload_scale [--requests N] [--groups G] [--routers R]
 //          [--oracle-requests N] [--utilization U] [--cap-seconds S]
 //          [--tol T] [--shards S] [--sharded-requests N]
@@ -45,15 +49,12 @@
 //   --utilization is the offered load per distinct endpoint pair
 //   relative to one link's calibrated pair time (default 0.2; the
 //   batch class runs at 2x because its requests carry two pairs).
-//   --json writes machine-readable results (default
-//   BENCH_workload_scale.json; "-" disables). requests_per_sec (scale
-//   row, completed requests per wall second) is the perf headline;
-//   CI gates it with bench_diff's perf class and asserts
-//   fastpath_tail_error <= fastpath_tolerance.
+//   requests_per_sec (scale row, completed requests per wall second)
+//   is the perf headline; CI gates it with bench_diff's perf class and
+//   asserts fastpath_tail_error <= fastpath_tolerance.
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -63,18 +64,14 @@
 #include <vector>
 
 #include "common.hpp"
-#include "metrics/edge_stats.hpp"
 #include "net/channel.hpp"
 #include "netlayer/flow_plane.hpp"
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
-#include "sim/sharded_engine.hpp"
-#include "obs/monitor.hpp"
-#include "obs/netstate.hpp"
-#include "obs/report.hpp"
 #include "obs/snapshot.hpp"
 #include "qstate/backend_registry.hpp"
 #include "routing/router.hpp"
+#include "sim/sharded_engine.hpp"
 #include "workload/arrival.hpp"
 
 using namespace qlink;
@@ -96,44 +93,8 @@ struct Options {
   /// island-shard rows and the sharded_speedup scalar (ISSUE 10).
   std::size_t shards = 0;
   std::uint64_t sharded_requests = 6000;
-  bench::Args shared;
+  std::uint64_t seed = 7;
 };
-
-struct Row {
-  std::string scenario;
-  const char* plane = "flow";
-  std::string topology;
-  std::size_t nodes = 0;
-  std::size_t links = 0;
-  std::uint64_t submitted = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t blocked = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t delivered = 0;
-  double mean_fidelity = 0.0;
-  double mean_latency_ms = 0.0;
-  double p50_request_latency_s = 0.0;
-  double p99_request_latency_s = 0.0;
-  double requests_per_sec = 0.0;  // completed / wall
-  double sim_seconds = 0.0;
-  double wall_seconds = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t open_evicted = 0;
-  std::uint64_t stalled_intervals = 0;
-  std::uint64_t peak_backlog = 0;
-  bool monitored = false;
-  std::string obs_json;
-  std::string monitor_jsonl;
-  std::string netstate_jsonl;
-  std::string report_md;
-};
-
-double wall_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// The CREATE-floor set-point every link (full-detail and flow) is
 /// operated and annotated at.
@@ -198,45 +159,74 @@ std::shared_ptr<workload::ArrivalProcess> make_mix(double total_rate_hz,
       std::move(classes));
 }
 
-void fill_common(Row& row, const routing::Router& router,
-                 const metrics::Collector& collector,
-                 const sim::Simulator& simulator, double wall_seconds) {
+/// A flow plane over `graph`'s edges.
+netlayer::FlowPlaneConfig flow_config(const routing::Graph& graph,
+                                      const netlayer::FlowCalibration& cal,
+                                      metrics::Collector* collector,
+                                      std::uint64_t seed) {
+  netlayer::FlowPlaneConfig fc;
+  fc.num_nodes = graph.num_nodes();
+  fc.edges.reserve(graph.num_edges());
+  for (const routing::Graph::Edge& e : graph.edges()) {
+    fc.edges.emplace_back(e.a, e.b);
+  }
+  fc.calibration = cal;
+  fc.collector = collector;
+  fc.seed = seed;
+  return fc;
+}
+
+/// The columns every row shares, from the run's router counters, its
+/// collector and engine totals. Callers append "obs" (and the
+/// watchdog scalars on observed rows).
+Row make_row(const char* scenario, const char* plane,
+             const std::string& topology, const routing::Graph& graph,
+             const routing::Router::Stats& rs,
+             const metrics::Collector& collector, double sim_seconds,
+             std::uint64_t events, double wall_seconds) {
   const auto& nl = collector.kind(core::Priority::kNetworkLayer);
-  row.submitted = router.stats().submitted;
-  row.admitted = router.stats().admitted;
-  row.blocked = router.stats().blocked;
-  row.completed = router.stats().completed;
-  row.failed = router.stats().failed;
-  row.delivered = router.stats().pairs_delivered;
-  row.mean_fidelity = nl.fidelity.mean();
-  row.mean_latency_ms = nl.request_latency_s.mean() * 1e3;
-  row.p50_request_latency_s = collector.request_latency_hist().p50();
-  row.p99_request_latency_s = collector.request_latency_hist().p99();
-  row.requests_per_sec =
-      wall_seconds > 0.0
-          ? static_cast<double>(row.completed) / wall_seconds
-          : 0.0;
-  row.sim_seconds = sim::to_seconds(simulator.now());
-  row.wall_seconds = wall_seconds;
-  row.events = simulator.events_processed();
-  row.open_evicted = collector.open_evicted();
+  Row row;
+  row.text("scenario", scenario)
+      .text("plane", plane)
+      .text("topology", topology)
+      .count("nodes", graph.num_nodes())
+      .count("links", graph.num_edges())
+      .count("submitted", rs.submitted)
+      .count("admitted", rs.admitted)
+      .count("blocked", rs.blocked)
+      .count("completed", rs.completed)
+      .count("failed", rs.failed)
+      .count("delivered", rs.pairs_delivered)
+      .num("mean_fidelity", nl.fidelity.mean(), 6)
+      .num("mean_latency_ms", nl.request_latency_s.mean() * 1e3, 3)
+      .num("p50_request_latency_s", collector.request_latency_hist().p50(), 6)
+      .num("p99_request_latency_s", collector.request_latency_hist().p99(), 6)
+      .num("requests_per_sec",
+           per_second(static_cast<double>(rs.completed), wall_seconds), 1)
+      .count("open_evicted", collector.open_evicted())
+      .num("sim_seconds", sim_seconds, 3)
+      .num("wall_seconds", wall_seconds, 4)
+      .count("events", events)
+      .num("events_per_sec",
+           per_second(static_cast<double>(events), wall_seconds), 1);
+  return row;
+}
+
+/// make_row for a single router's run, with its obs::Snapshot (no
+/// observers attached).
+Row router_row(const char* scenario, const char* plane,
+               const std::string& topology, const routing::Graph& graph,
+               const routing::Router& router,
+               const metrics::Collector& collector,
+               const sim::Simulator& simulator, double wall_seconds) {
+  Row row = make_row(scenario, plane, topology, graph, router.stats(),
+                     collector, sim::to_seconds(simulator.now()),
+                     simulator.events_processed(), wall_seconds);
   obs::Snapshot snap;
   snap.collector = &collector;
   snap.router = &router.stats();
   snap.simulator = &simulator;
-  row.obs_json = snap.json();
-}
-
-void print_row(const Row& r) {
-  std::printf("%-11s %-4s %-14s %7zu %7zu %8llu %8llu %6llu %8llu %9.4f "
-              "%8.2f %8.1f %8.1f %10.0f\n",
-              r.scenario.c_str(), r.plane, r.topology.c_str(), r.nodes,
-              r.links, static_cast<unsigned long long>(r.submitted),
-              static_cast<unsigned long long>(r.completed),
-              static_cast<unsigned long long>(r.blocked),
-              static_cast<unsigned long long>(r.delivered),
-              r.mean_fidelity, r.mean_latency_ms * 1e-3, r.sim_seconds,
-              r.wall_seconds, r.requests_per_sec);
+  return row.json("obs", snap.json());
 }
 
 /// Drive `simulator` until the driver has issued every request and the
@@ -254,9 +244,14 @@ void run_to_completion(const workload::WorkloadDriver& driver,
   }
 }
 
-Row run_scale(const Options& opt) {
+std::string dragonfly_name(const Options& opt) {
+  return "dragonfly" + std::to_string(opt.groups) + "x" +
+         std::to_string(opt.routers);
+}
+
+void run_scale(Harness& h, const Options& opt) {
   routing::Graph graph = routing::Graph::dragonfly(opt.groups, opt.routers);
-  const netlayer::FlowCalibration cal = calibrate(opt.shared.seed);
+  const netlayer::FlowCalibration cal = calibrate(opt.seed);
   const netlayer::FlowCalibration::Entry* point = cal.best();
   if (point == nullptr) {
     std::fprintf(stderr, "flow calibration: no feasible operating point\n");
@@ -267,26 +262,13 @@ Row run_scale(const Options& opt) {
   // Streaming run: bound the in-flight map (a leaked request must not
   // grow memory for the rest of the run; evictions land in the JSON).
   collector.set_open_capacity(1u << 16);
-
-  netlayer::FlowPlaneConfig fc;
-  fc.num_nodes = graph.num_nodes();
-  fc.edges.reserve(graph.num_edges());
-  for (const routing::Graph::Edge& e : graph.edges()) {
-    fc.edges.emplace_back(e.a, e.b);
-  }
-  fc.calibration = cal;
-  fc.collector = &collector;
-  fc.seed = opt.shared.seed;
-  netlayer::FlowPlane plane(std::move(fc));
-  plane.simulator().set_telemetry(true);
+  netlayer::FlowPlane plane(flow_config(graph, cal, &collector, opt.seed));
 
   routing::RouterConfig rc;
   rc.k_candidates = 2;
   rc.cache_paths = true;  // bounded endpoint pools -> bounded cache
   routing::Router router(graph, plane, rc, &collector);
   router.annotate_from_network(kFloorMenu);
-  metrics::EdgeStats edge_stats(graph.num_edges(), graph.num_nodes());
-  router.set_edge_stats(&edge_stats);
 
   // Offered load: 70 equal-rate endpoint pairs (see make_mix), each at
   // --utilization of one link's calibrated service rate.
@@ -296,31 +278,25 @@ Row run_scale(const Options& opt) {
   workload::TrafficConfig traffic;
   traffic.min_fidelity = 0.4;
   traffic.link_min_fidelity = kFloorMenu[0];
-  traffic.arrivals = make_mix(total_rate_hz, graph.num_nodes(),
-                              opt.shared.seed);
+  traffic.arrivals = make_mix(total_rate_hz, graph.num_nodes(), opt.seed);
   workload::DriverConfig tuning;
-  tuning.seed = opt.shared.seed;
+  tuning.seed = opt.seed;
   tuning.poll_interval = sim::duration::milliseconds(10);
   tuning.max_requests = opt.requests;
   auto driver = workload::WorkloadDriver::for_routed(router, traffic,
                                                      tuning, collector);
 
-  obs::MonitorConfig mc;
-  mc.run = "scale";
-  mc.target_requests = opt.requests;
-  mc.stall_consecutive = 10;  // random traffic: quiet 100 ms happens
-  obs::Monitor monitor(plane.simulator(), collector, std::move(mc));
-  monitor.attach_router(&router);
-  driver->set_monitor(&monitor);
-  obs::NetStateConfig nsc;
-  nsc.run = "scale";
-  nsc.interval = sim::duration::seconds(1);  // 16k edges per record
-  obs::NetState netstate(plane.simulator(), edge_stats, std::move(nsc));
-  netstate.attach_collector(&collector);
-  netstate.attach_graph(&graph);
-  driver->set_netstate(&netstate);
+  // 16k edges per NetState record: sample once per simulated second.
+  obs::Session session(collector, {.interval = sim::duration::seconds(1),
+                                   .run = "scale"});
+  session.attach(router);
+  // Random traffic: quiet 100 ms intervals happen.
+  session.watch({.run = "scale",
+                 .target_requests = opt.requests,
+                 .stall_consecutive = 10});
+  driver->set_session(&session);
 
-  const auto start = std::chrono::steady_clock::now();
+  const Stopwatch wall;
   collector.begin(plane.simulator().now());
   driver->start();
   run_to_completion(*driver, router, plane.simulator(),
@@ -328,28 +304,17 @@ Row run_scale(const Options& opt) {
                     opt.requests, opt.cap_seconds);
   driver->stop();
   collector.end(plane.simulator().now());
-  monitor.finish();
-  netstate.finish();
+  session.finish();
 
-  Row row;
-  row.scenario = "scale";
-  row.plane = "flow";
-  row.topology = "dragonfly" + std::to_string(opt.groups) + "x" +
-                 std::to_string(opt.routers);
-  row.nodes = graph.num_nodes();
-  row.links = graph.num_edges();
-  fill_common(row, router, collector, plane.simulator(),
-              wall_since(start));
-  row.monitored = true;
-  row.stalled_intervals = monitor.stalled_intervals();
-  row.peak_backlog = monitor.peak_backlog();
-  row.monitor_jsonl = monitor.jsonl();
-  row.netstate_jsonl = netstate.jsonl();
-  obs::RunReportOptions ro;
-  ro.title = "scale (" + row.topology + ", flow plane)";
-  row.report_md = obs::render_run_report(plane.simulator(), edge_stats,
-                                         collector, &graph, ro);
-  return row;
+  const std::string topology = dragonfly_name(opt);
+  Row row = make_row("scale", "flow", topology, graph, router.stats(),
+                     collector, sim::to_seconds(plane.simulator().now()),
+                     plane.simulator().events_processed(), wall.seconds());
+  row.count("stalled_intervals", session.stalled_intervals())
+      .count("peak_backlog", session.peak_backlog())
+      .json("obs", session.snapshot_json());
+  h.add(session, "scale (" + topology + ", flow plane)");
+  h.add(std::move(row));
 }
 
 // ---- Sharded comparison (ISSUE 10) ----------------------------------
@@ -427,7 +392,7 @@ void append_island_classes(
 }
 
 std::uint64_t island_seed(const Options& opt, std::size_t island) {
-  return opt.shared.seed + 0x100000001b3ULL * (island + 1);
+  return opt.seed + 0x100000001b3ULL * (island + 1);
 }
 
 workload::TrafficConfig sharded_traffic(
@@ -447,22 +412,15 @@ routing::RouterConfig sharded_router_config() {
 }
 
 /// Monolithic comparator: all islands' classes behind one Poisson train
-/// of the summed rate, one router over the full graph.
-Row run_island_mono(const Options& opt, const routing::Graph& graph,
-                    const netlayer::FlowCalibration& cal,
-                    double island_rate_hz, std::uint64_t target) {
+/// of the summed rate, one router over the full graph. Returns its wall
+/// seconds.
+double run_island_mono(Harness& h, const Options& opt,
+                       const routing::Graph& graph,
+                       const netlayer::FlowCalibration& cal,
+                       double island_rate_hz, std::uint64_t target) {
   const auto islands = island_nodes(graph.num_nodes(), opt.shards);
   metrics::Collector collector;
-  netlayer::FlowPlaneConfig fc;
-  fc.num_nodes = graph.num_nodes();
-  fc.edges.reserve(graph.num_edges());
-  for (const routing::Graph::Edge& e : graph.edges()) {
-    fc.edges.emplace_back(e.a, e.b);
-  }
-  fc.calibration = cal;
-  fc.collector = &collector;
-  fc.seed = opt.shared.seed;
-  netlayer::FlowPlane plane(std::move(fc));
+  netlayer::FlowPlane plane(flow_config(graph, cal, &collector, opt.seed));
   plane.simulator().set_telemetry(true);
 
   routing::Router router(graph, plane, sharded_router_config(),
@@ -480,13 +438,13 @@ Row run_island_mono(const Options& opt, const routing::Graph& graph,
       std::move(classes));
 
   workload::DriverConfig tuning;
-  tuning.seed = opt.shared.seed;
+  tuning.seed = opt.seed;
   tuning.poll_interval = sim::duration::milliseconds(10);
   tuning.max_requests = target;
   auto driver = workload::WorkloadDriver::for_routed(
       router, sharded_traffic(mix), tuning, collector);
 
-  const auto start = std::chrono::steady_clock::now();
+  const Stopwatch wall;
   collector.begin(plane.simulator().now());
   driver->start();
   run_to_completion(*driver, router, plane.simulator(),
@@ -495,23 +453,22 @@ Row run_island_mono(const Options& opt, const routing::Graph& graph,
   driver->stop();
   collector.end(plane.simulator().now());
 
-  Row row;
-  row.scenario = "island-mono";
-  row.plane = "flow";
-  row.topology = "dragonfly" + std::to_string(opt.groups) + "x" +
-                 std::to_string(opt.routers);
-  row.nodes = graph.num_nodes();
-  row.links = graph.num_edges();
-  fill_common(row, router, collector, plane.simulator(),
-              wall_since(start));
-  row.obs_json = "{}";
-  return row;
+  const double wall_seconds = wall.seconds();
+  Row row = make_row("island-mono", "flow", dragonfly_name(opt), graph,
+                     router.stats(), collector,
+                     sim::to_seconds(plane.simulator().now()),
+                     plane.simulator().events_processed(), wall_seconds);
+  row.json("obs", "{}");
+  h.add(std::move(row));
+  return wall_seconds;
 }
 
 /// The sharded leg: per-island planes/routers/drivers on one engine.
-Row run_island_shard(const Options& opt, const routing::Graph& graph,
-                     const netlayer::FlowCalibration& cal,
-                     double island_rate_hz, std::uint64_t per_island) {
+/// Returns its wall seconds.
+double run_island_shard(Harness& h, const Options& opt,
+                        const routing::Graph& graph,
+                        const netlayer::FlowCalibration& cal,
+                        double island_rate_hz, std::uint64_t per_island) {
   const auto islands = island_nodes(graph.num_nodes(), opt.shards);
   const std::size_t shards = opt.shards;
 
@@ -528,15 +485,8 @@ Row run_island_shard(const Options& opt, const routing::Graph& graph,
     collectors.push_back(std::make_unique<metrics::Collector>());
     graphs.push_back(
         std::make_unique<routing::Graph>(graph.induced(islands[s])));
-    netlayer::FlowPlaneConfig fc;
-    fc.num_nodes = graphs[s]->num_nodes();
-    fc.edges.reserve(graphs[s]->num_edges());
-    for (const routing::Graph::Edge& e : graphs[s]->edges()) {
-      fc.edges.emplace_back(e.a, e.b);
-    }
-    fc.calibration = cal;
-    fc.collector = collectors[s].get();
-    fc.seed = island_seed(opt, s);
+    netlayer::FlowPlaneConfig fc = flow_config(
+        *graphs[s], cal, collectors[s].get(), island_seed(opt, s));
     fc.engine = &engine;
     fc.shard = s;
     planes.push_back(
@@ -611,7 +561,7 @@ Row run_island_shard(const Options& opt, const routing::Graph& graph,
     return true;
   };
 
-  const auto start = std::chrono::steady_clock::now();
+  const Stopwatch wall;
   for (std::size_t s = 0; s < shards; ++s) {
     collectors[s]->begin(engine.sim(s).now());
     drivers[s]->start();
@@ -624,42 +574,28 @@ Row run_island_shard(const Options& opt, const routing::Graph& graph,
     drivers[s]->stop();
     collectors[s]->end(engine.sim(s).now());
   }
-  const double wall = wall_since(start);
+  const double wall_seconds = wall.seconds();
 
   // End-of-run merge: one Collector view of all islands (ISSUE 7 made
   // merge shard-ready; totals match an unsharded recording).
   metrics::Collector merged;
-  for (std::size_t s = 0; s < shards; ++s) merged.merge(*collectors[s]);
-  const auto& nl = merged.kind(core::Priority::kNetworkLayer);
-
-  Row row;
-  row.scenario = "island-shard";
-  row.plane = "flow";
-  row.topology = "dragonfly" + std::to_string(opt.groups) + "x" +
-                 std::to_string(opt.routers) + "/" +
-                 std::to_string(shards) + "i";
-  row.nodes = graph.num_nodes();
-  row.links = graph.num_edges();
+  routing::Router::Stats totals;
   for (std::size_t s = 0; s < shards; ++s) {
+    merged.merge(*collectors[s]);
     const auto& rs = routers[s]->stats();
-    row.submitted += rs.submitted;
-    row.admitted += rs.admitted;
-    row.blocked += rs.blocked;
-    row.completed += rs.completed;
-    row.failed += rs.failed;
-    row.delivered += rs.pairs_delivered;
+    totals.submitted += rs.submitted;
+    totals.admitted += rs.admitted;
+    totals.blocked += rs.blocked;
+    totals.completed += rs.completed;
+    totals.failed += rs.failed;
+    totals.pairs_delivered += rs.pairs_delivered;
   }
-  row.mean_fidelity = nl.fidelity.mean();
-  row.mean_latency_ms = nl.request_latency_s.mean() * 1e3;
-  row.p50_request_latency_s = merged.request_latency_hist().p50();
-  row.p99_request_latency_s = merged.request_latency_hist().p99();
-  row.requests_per_sec =
-      wall > 0.0 ? static_cast<double>(row.completed) / wall : 0.0;
-  row.sim_seconds = sim::to_seconds(engine.now());
-  row.wall_seconds = wall;
-  row.events = engine.events_processed();
-  row.open_evicted = merged.open_evicted();
-  row.obs_json = "{}";
+  Row row = make_row("island-shard", "flow",
+                     dragonfly_name(opt) + "/" + std::to_string(shards) + "i",
+                     graph, totals, merged, sim::to_seconds(engine.now()),
+                     engine.events_processed(), wall_seconds);
+  row.json("obs", "{}");
+  h.add(std::move(row));
 
   const auto es = engine.stats();
   std::printf("  -> engine: %zu shards (threads %s), %llu rounds "
@@ -673,7 +609,7 @@ Row run_island_shard(const Options& opt, const routing::Graph& graph,
               static_cast<unsigned long long>(es.drained),
               static_cast<unsigned long long>(
                   heartbeats.load(std::memory_order_relaxed)));
-  return row;
+  return wall_seconds;
 }
 
 /// Oracle traffic: one Poisson train, endpoints pinned end-to-end on
@@ -689,16 +625,16 @@ workload::TrafficConfig oracle_traffic(double rate_hz) {
 
 workload::DriverConfig oracle_tuning(const Options& opt) {
   workload::DriverConfig tuning;
-  tuning.seed = opt.shared.seed;
+  tuning.seed = opt.seed;
   tuning.poll_interval = sim::duration::milliseconds(1);
   tuning.max_requests = opt.oracle_requests;
   return tuning;
 }
 
-Row run_oracle_full(const Options& opt, double rate_hz) {
+const Row& run_oracle_full(Harness& h, const Options& opt, double rate_hz) {
   routing::Graph graph = routing::Graph::chain(3);
   netlayer::NetworkConfig nc = routing::make_network_config(
-      graph, make_link_config(opt.shared.seed), opt.shared.seed);
+      graph, make_link_config(opt.seed), opt.seed);
   auto net = std::make_unique<netlayer::QuantumNetwork>(nc);
   metrics::Collector collector;
   auto swap = std::make_unique<netlayer::SwapService>(*net, &collector);
@@ -710,7 +646,7 @@ Row run_oracle_full(const Options& opt, double rate_hz) {
   auto driver = workload::WorkloadDriver::for_routed(
       router, oracle_traffic(rate_hz), oracle_tuning(opt), collector);
 
-  const auto start = std::chrono::steady_clock::now();
+  const Stopwatch wall;
   collector.begin(net->simulator().now());
   net->start();
   driver->start();
@@ -719,31 +655,15 @@ Row run_oracle_full(const Options& opt, double rate_hz) {
                     opt.oracle_requests, opt.oracle_cap_seconds);
   driver->stop();
   collector.end(net->simulator().now());
-
-  Row row;
-  row.scenario = "oracle-full";
-  row.plane = "full";
-  row.topology = "chain3";
-  row.nodes = graph.num_nodes();
-  row.links = graph.num_edges();
-  fill_common(row, router, collector, net->simulator(),
-              wall_since(start));
-  return row;
+  return h.add(router_row("oracle-full", "full", "chain3", graph, router,
+                          collector, net->simulator(), wall.seconds()));
 }
 
-Row run_oracle_flow(const Options& opt, double rate_hz) {
+const Row& run_oracle_flow(Harness& h, const Options& opt, double rate_hz) {
   routing::Graph graph = routing::Graph::chain(3);
-  const netlayer::FlowCalibration cal = calibrate(opt.shared.seed);
   metrics::Collector collector;
-  netlayer::FlowPlaneConfig fc;
-  fc.num_nodes = graph.num_nodes();
-  for (const routing::Graph::Edge& e : graph.edges()) {
-    fc.edges.emplace_back(e.a, e.b);
-  }
-  fc.calibration = cal;
-  fc.collector = &collector;
-  fc.seed = opt.shared.seed;
-  netlayer::FlowPlane plane(std::move(fc));
+  netlayer::FlowPlane plane(
+      flow_config(graph, calibrate(opt.seed), &collector, opt.seed));
   routing::RouterConfig rc;
   rc.k_candidates = 1;
   routing::Router router(graph, plane, rc, &collector);
@@ -752,7 +672,7 @@ Row run_oracle_flow(const Options& opt, double rate_hz) {
   auto driver = workload::WorkloadDriver::for_routed(
       router, oracle_traffic(rate_hz), oracle_tuning(opt), collector);
 
-  const auto start = std::chrono::steady_clock::now();
+  const Stopwatch wall;
   collector.begin(plane.simulator().now());
   driver->start();
   run_to_completion(*driver, router, plane.simulator(),
@@ -760,174 +680,87 @@ Row run_oracle_flow(const Options& opt, double rate_hz) {
                     opt.oracle_requests, opt.oracle_cap_seconds);
   driver->stop();
   collector.end(plane.simulator().now());
-
-  Row row;
-  row.scenario = "oracle-flow";
-  row.plane = "flow";
-  row.topology = "chain3";
-  row.nodes = graph.num_nodes();
-  row.links = graph.num_edges();
-  fill_common(row, router, collector, plane.simulator(),
-              wall_since(start));
-  return row;
+  return h.add(router_row("oracle-flow", "flow", "chain3", graph, router,
+                          collector, plane.simulator(), wall.seconds()));
 }
 
 double relative_error(double cur, double ref) {
   return std::abs(cur - ref) / std::max(std::abs(ref), 1e-9);
 }
 
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                double requests_per_sec, double tail_error, double tol,
-                double sharded_speedup) {
-  if (path == "-") return;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"workload_scale\",\n  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char mon_fields[128] = "";
-    if (r.monitored) {
-      std::snprintf(mon_fields, sizeof mon_fields,
-                    "\"stalled_intervals\": %llu, \"peak_backlog\": %llu, ",
-                    static_cast<unsigned long long>(r.stalled_intervals),
-                    static_cast<unsigned long long>(r.peak_backlog));
-    }
-    std::fprintf(
-        f,
-        "    {\"scenario\": \"%s\", \"plane\": \"%s\", \"topology\": "
-        "\"%s\", \"nodes\": %zu, \"links\": %zu, \"submitted\": %llu, "
-        "\"admitted\": %llu, \"blocked\": %llu, \"completed\": %llu, "
-        "\"failed\": %llu, \"delivered\": %llu, \"mean_fidelity\": %.6f, "
-        "\"mean_latency_ms\": %.3f, \"p50_request_latency_s\": %.6f, "
-        "\"p99_request_latency_s\": %.6f, \"requests_per_sec\": %.1f, "
-        "\"open_evicted\": %llu, \"sim_seconds\": %.3f, "
-        "\"wall_seconds\": %.4f, \"events\": %llu, "
-        "\"events_per_sec\": %.1f, %s\"obs\": %s}%s\n",
-        r.scenario.c_str(), r.plane, r.topology.c_str(), r.nodes, r.links,
-        static_cast<unsigned long long>(r.submitted),
-        static_cast<unsigned long long>(r.admitted),
-        static_cast<unsigned long long>(r.blocked),
-        static_cast<unsigned long long>(r.completed),
-        static_cast<unsigned long long>(r.failed),
-        static_cast<unsigned long long>(r.delivered), r.mean_fidelity,
-        r.mean_latency_ms, r.p50_request_latency_s,
-        r.p99_request_latency_s, r.requests_per_sec,
-        static_cast<unsigned long long>(r.open_evicted), r.sim_seconds,
-        r.wall_seconds, static_cast<unsigned long long>(r.events),
-        r.wall_seconds > 0.0 ? static_cast<double>(r.events) / r.wall_seconds
-                             : 0.0,
-        mon_fields, r.obs_json.c_str(), i + 1 < rows.size() ? "," : "");
-  }
-  std::uint64_t stalled = 0;
-  for (const Row& r : rows) stalled += r.stalled_intervals;
-  char sharded_field[64] = "";
-  if (sharded_speedup > 0.0) {
-    std::snprintf(sharded_field, sizeof sharded_field,
-                  "  \"sharded_speedup\": %.4f,\n", sharded_speedup);
-  }
-  std::fprintf(f,
-               "  ],\n  \"requests_per_sec\": %.1f,\n"
-               "  \"fastpath_tail_error\": %.6f,\n"
-               "  \"fastpath_tolerance\": %.6f,\n%s"
-               "  \"stalled_intervals\": %llu\n}\n",
-               requests_per_sec, tail_error, tol, sharded_field,
-               static_cast<unsigned long long>(stalled));
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-void write_text(const std::string& path, const std::string& text,
-                const char* what) {
-  if (path.empty() || text.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%s)\n", path.c_str(), what);
-}
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--requests N] [--groups G] [--routers R] "
-               "[--oracle-requests N] [--utilization U] "
-               "[--cap-seconds S] [--tol T] [--shards S] "
-               "[--sharded-requests N] %s\n",
-               argv0, qlink::bench::Args::kUsage);
-  std::exit(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  opt.shared.json_path = "BENCH_workload_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    if (opt.shared.consume(argc, argv, i, [&] { usage(argv[0]); })) {
-      continue;
-    }
-    const auto arg = std::string(argv[i]);
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--requests") {
-      opt.requests = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--groups") {
-      opt.groups = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--routers") {
-      opt.routers = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--oracle-requests") {
-      opt.oracle_requests = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--oracle-utilization") {
-      opt.oracle_utilization = std::strtod(next(), nullptr);
-    } else if (arg == "--utilization") {
-      opt.utilization = std::strtod(next(), nullptr);
-    } else if (arg == "--cap-seconds") {
-      opt.cap_seconds = std::strtod(next(), nullptr);
-    } else if (arg == "--tol") {
-      opt.tol = std::strtod(next(), nullptr);
-    } else if (arg == "--shards") {
-      opt.shards = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--sharded-requests") {
-      opt.sharded_requests = std::strtoull(next(), nullptr, 10);
-    } else {
-      usage(argv[0]);
-    }
-  }
+  Harness h("workload_scale");
+  h.parse(argc, argv,
+          "[--requests N] [--groups G] [--routers R] [--oracle-requests N] "
+          "[--utilization U] [--cap-seconds S] [--tol T] [--shards S] "
+          "[--sharded-requests N]",
+          [&opt](const std::string& arg, auto next) {
+            if (arg == "--requests") {
+              opt.requests = std::strtoull(next(), nullptr, 10);
+            } else if (arg == "--groups") {
+              opt.groups = std::strtoull(next(), nullptr, 10);
+            } else if (arg == "--routers") {
+              opt.routers = std::strtoull(next(), nullptr, 10);
+            } else if (arg == "--oracle-requests") {
+              opt.oracle_requests = std::strtoull(next(), nullptr, 10);
+            } else if (arg == "--oracle-utilization") {
+              opt.oracle_utilization = std::strtod(next(), nullptr);
+            } else if (arg == "--utilization") {
+              opt.utilization = std::strtod(next(), nullptr);
+            } else if (arg == "--cap-seconds") {
+              opt.cap_seconds = std::strtod(next(), nullptr);
+            } else if (arg == "--tol") {
+              opt.tol = std::strtod(next(), nullptr);
+            } else if (arg == "--shards") {
+              opt.shards = std::strtoull(next(), nullptr, 10);
+            } else if (arg == "--sharded-requests") {
+              opt.sharded_requests = std::strtoull(next(), nullptr, 10);
+            } else {
+              return false;
+            }
+            return true;
+          });
+  opt.seed = h.args.seed;
   if (opt.requests < 1 || opt.oracle_requests < 1 ||
       opt.groups * opt.routers < 2 || opt.utilization <= 0.0 ||
       opt.utilization > 1.0 || opt.cap_seconds <= 0.0 || opt.tol <= 0.0) {
     std::fprintf(stderr,
                  "need requests >= 1, a topology with >= 2 routers, "
                  "utilization in (0, 1], positive cap/tol\n");
-    usage(argv[0]);
+    h.usage();
   }
   if (opt.shards == 1 || opt.shards > opt.groups ||
       (opt.shards >= 2 && opt.sharded_requests < opt.shards)) {
     std::fprintf(stderr,
                  "need --shards in {0, 2..groups} (islands carve whole "
                  "dragonfly groups) and sharded-requests >= shards\n");
-    usage(argv[0]);
+    h.usage();
   }
 
   print_header(
       "Workload engine at scale: flow-level fast path vs the "
       "full-detail oracle");
-  std::printf("%-11s %-4s %-14s %7s %7s %8s %8s %6s %8s %9s %8s %8s %8s "
-              "%10s\n",
-              "scenario", "pln", "topology", "nodes", "links", "subm",
-              "done", "blckd", "pairs", "fidelity", "lat(s)", "sim(s)",
-              "wall(s)", "req/s");
+  h.columns({{"scenario", "scenario", -12},
+             {"plane", "pln", -4},
+             {"topology", "topology", -20},
+             {"nodes", "nodes", 6},
+             {"links", "links", 6},
+             {"submitted", "subm", 8},
+             {"completed", "done", 8},
+             {"blocked", "blckd", 7},
+             {"delivered", "pairs", 8},
+             {"mean_fidelity", "fidelity", 9},
+             {"mean_latency_ms", "lat(ms)", 9},
+             {"sim_seconds", "sim(s)", 9},
+             {"wall_seconds", "wall(s)", 9},
+             {"requests_per_sec", "req/s", 11}});
 
   // The oracle rate: 30% of one link's calibrated service rate — well
   // inside steady state, where the flow model is valid.
-  const netlayer::FlowCalibration cal = calibrate(opt.shared.seed);
+  const netlayer::FlowCalibration cal = calibrate(opt.seed);
   const netlayer::FlowCalibration::Entry* point = cal.best();
   if (point == nullptr) {
     std::fprintf(stderr, "flow calibration: no feasible operating point\n");
@@ -936,13 +769,9 @@ int main(int argc, char** argv) {
   const double oracle_rate_hz =
       opt.oracle_utilization / std::max(point->pair_time_s, 1e-9);
 
-  std::vector<Row> rows;
-  rows.push_back(run_scale(opt));
-  print_row(rows.back());
-  rows.push_back(run_oracle_full(opt, oracle_rate_hz));
-  print_row(rows.back());
-  rows.push_back(run_oracle_flow(opt, oracle_rate_hz));
-  print_row(rows.back());
+  run_scale(h, opt);
+  const Row full = run_oracle_full(h, opt, oracle_rate_hz);
+  const Row flow = run_oracle_flow(h, opt, oracle_rate_hz);
 
   double sharded_speedup = 0.0;
   if (opt.shards >= 2) {
@@ -952,49 +781,45 @@ int main(int argc, char** argv) {
     const double island_rate_hz = opt.utilization * 70.0 / svc_s;
     const std::uint64_t per_island = opt.sharded_requests / opt.shards;
     const std::uint64_t target = per_island * opt.shards;
-    rows.push_back(
-        run_island_mono(opt, graph, cal, island_rate_hz, target));
-    print_row(rows.back());
-    rows.push_back(
-        run_island_shard(opt, graph, cal, island_rate_hz, per_island));
-    print_row(rows.back());
-    const Row& mono = rows[rows.size() - 2];
-    const Row& shard = rows.back();
-    sharded_speedup = shard.wall_seconds > 0.0
-                          ? mono.wall_seconds / shard.wall_seconds
-                          : 0.0;
+    const double mono =
+        run_island_mono(h, opt, graph, cal, island_rate_hz, target);
+    const double shard =
+        run_island_shard(h, opt, graph, cal, island_rate_hz, per_island);
+    sharded_speedup = shard > 0.0 ? mono / shard : 0.0;
     std::printf("  -> sharded: mono %.2f s vs %zu-island %.2f s wall "
                 "-> sharded_speedup %.2fx\n",
-                mono.wall_seconds, opt.shards, shard.wall_seconds,
-                sharded_speedup);
+                mono, opt.shards, shard, sharded_speedup);
   }
 
-  const Row& full = rows[1];
-  const Row& flow = rows[2];
-  const double tail_error = std::max(
-      {relative_error(flow.p50_request_latency_s,
-                      full.p50_request_latency_s),
-       relative_error(flow.p99_request_latency_s,
-                      full.p99_request_latency_s),
-       relative_error(flow.mean_fidelity, full.mean_fidelity)});
-  const double requests_per_sec = rows[0].requests_per_sec;
+  const auto error = [&full, &flow](const char* key) {
+    return relative_error(flow.get(key), full.get(key));
+  };
+  const double tail_error =
+      std::max({error("p50_request_latency_s"),
+                error("p99_request_latency_s"), error("mean_fidelity")});
+  const Row& scale = h.rows().front();
+  const double requests_per_sec = scale.get("requests_per_sec");
   std::printf("  -> fast path vs oracle: p50 %.4f/%.4f s, p99 %.4f/%.4f "
               "s, fidelity %.4f/%.4f -> tail error %.3f (tol %.2f)\n",
-              flow.p50_request_latency_s, full.p50_request_latency_s,
-              flow.p99_request_latency_s, full.p99_request_latency_s,
-              flow.mean_fidelity, full.mean_fidelity, tail_error, opt.tol);
-  std::printf("  -> scale: %llu requests completed at %.0f req/s wall "
+              flow.get("p50_request_latency_s"),
+              full.get("p50_request_latency_s"),
+              flow.get("p99_request_latency_s"),
+              full.get("p99_request_latency_s"), flow.get("mean_fidelity"),
+              full.get("mean_fidelity"), tail_error, opt.tol);
+  std::printf("  -> scale: %.0f requests completed at %.0f req/s wall "
               "(%.1f s)\n",
-              static_cast<unsigned long long>(rows[0].completed),
-              requests_per_sec, rows[0].wall_seconds);
+              scale.get("completed"), requests_per_sec,
+              scale.get("wall_seconds"));
 
-  if (!opt.shared.json_path.empty()) {
-    write_json(opt.shared.json_path, rows, requests_per_sec, tail_error,
-               opt.tol, sharded_speedup);
+  Row summary;
+  summary.num("requests_per_sec", requests_per_sec, 1)
+      .num("fastpath_tail_error", tail_error, 6)
+      .num("fastpath_tolerance", opt.tol, 6);
+  if (sharded_speedup > 0.0) {
+    summary.num("sharded_speedup", sharded_speedup, 4);
   }
-  write_text(opt.shared.monitor_path, rows[0].monitor_jsonl, "monitor");
-  write_text(opt.shared.netstate_path, rows[0].netstate_jsonl, "netstate");
-  write_text(opt.shared.report_path, rows[0].report_md, "report");
+  summary.count("stalled_intervals", h.stalled_intervals());
+  h.write(summary);
 
   if (tail_error > opt.tol) {
     std::fprintf(stderr,

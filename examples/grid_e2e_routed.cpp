@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   // take a longer route. Candidate diversity under contention is
   // bench_grid_routing's story (and test_netlayer's).
   rc.k_candidates = 1;
-  routing::Router router(grid, net, swap, rc, &collector);
+  routing::Router router(grid, swap, rc, &collector);
   // Operate every link at the best feasible CREATE floor of the menu
   // (the FEU decides; on this homogeneous grid all land at 0.8).
   const double floor_menu[] = {0.8, 0.7, 0.6};

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "metrics/collector.hpp"
 #include "metrics/edge_stats.hpp"
 #include "qstate/bell_algebra.hpp"
 
@@ -80,7 +79,7 @@ FlowPlane::FlowPlane(FlowPlaneConfig config)
       num_nodes_(config.num_nodes),
       calibration_(std::move(config.calibration)),
       calibrations_(std::move(config.calibrations)),
-      collector_(config.collector) {
+      recorder_(config.collector) {
   if (shard_ >= engine_->num_shards()) {
     throw std::invalid_argument("FlowPlane: shard out of range");
   }
@@ -172,12 +171,7 @@ std::uint32_t FlowPlane::submit(const E2eRequest& request,
   const sim::SimTime submitted =
       request.submitted_at >= 0 ? request.submitted_at : now;
   const std::uint16_t pairs = std::max<std::uint16_t>(request.num_pairs, 1);
-  if (collector_ != nullptr) {
-    // Admission time, like SwapService: router queue wait is tracked
-    // separately (record_admission_wait), not folded into latency.
-    collector_->record_create(request.src, id,
-                              core::Priority::kNetworkLayer, pairs, now);
-  }
+  recorder_.admitted(request, id, pairs, now, submitted);
 
   // Resolve every hop's operating point up front; an infeasible hop
   // fails the request asynchronously (the full-detail plane would
@@ -194,7 +188,8 @@ std::uint32_t FlowPlane::submit(const E2eRequest& request,
       const std::size_t link = route[h].link;
       simulator().schedule_in(
           1,
-          [this, id, link] {
+          [this, id, link, src = request.src] {
+            recorder_.error(src, id, core::EgpError::kUnsupported);
             if (on_error_ != nullptr) {
               on_error_({id, core::EgpError::kUnsupported, link});
             }
@@ -268,26 +263,14 @@ std::uint32_t FlowPlane::submit(const E2eRequest& request,
             }
             edge_stats_->on_delivered_pair(ok.src, ok.dst);
           }
-          if (collector_ != nullptr) {
-            // Phase split at flow level: everything up to the last
-            // hop's completion is generation; the swap cascade is
-            // folded into the model (0); the classical-correction
-            // flight is the summed one-way delays.
-            collector_->record_pair_phases(
-                ok.src, ok.request_id,
-                sim::to_seconds(ok.deliver_time - admitted) - corr_s,
-                0.0, corr_s);
-            core::OkMessage record;
-            record.create_id = ok.request_id;
-            record.origin_node = ok.src;
-            record.pair_index = ok.pair_index;
-            record.total_pairs = ok.total_pairs;
-            record.goodness = ok.fidelity;
-            record.goodness_time = ok.deliver_time;
-            record.create_time = ok.submit_time;
-            collector_->record_ok(record, core::Priority::kNetworkLayer,
-                                  simulator().now(), ok.fidelity);
-          }
+          // Phase split at flow level: everything up to the last hop's
+          // completion is generation; the swap cascade is folded into
+          // the model (0); the classical-correction flight is the
+          // summed one-way delays.
+          recorder_.delivered(
+              ok, simulator().now(),
+              sim::to_seconds(ok.deliver_time - admitted) - corr_s, 0.0,
+              corr_s);
           if (on_deliver_ != nullptr) on_deliver_(ok);
         },
         "flow.deliver");

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "netlayer/plane.hpp"
+#include "netlayer/plane_recorder.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/simulator.hpp"
@@ -86,10 +87,9 @@ struct FlowPlaneConfig {
   /// Per-link calibrations (heterogeneous); empty = use `calibration`
   /// for every link.
   std::vector<FlowCalibration> calibrations;
-  /// Recorded like SwapService does full-detail: create at admission
-  /// (the submit call; router queue wait is a separate admission-wait
-  /// metric), one OK (+ phase decomposition) per delivered pair.
-  /// Optional.
+  /// Recorded through the same PlaneRecorder as SwapService: create
+  /// (or resubmit) at admission, one OK (+ phase decomposition) per
+  /// delivered pair, an error per failed request. Optional.
   metrics::Collector* collector = nullptr;
   std::uint64_t seed = 1;
   /// Bind the plane to one shard of an existing engine instead of
@@ -179,7 +179,7 @@ class FlowPlane : public EntanglementPlane {
   /// service) — the only per-link mutable state.
   std::vector<sim::SimTime> next_free_;
   std::uint32_t next_request_id_ = 1;
-  metrics::Collector* collector_ = nullptr;
+  PlaneRecorder recorder_;
   metrics::EdgeStats* edge_stats_ = nullptr;
   DeliverFn on_deliver_;
   ErrorFn on_error_;

@@ -22,7 +22,7 @@ SwapService::SwapService(QuantumNetwork& network,
                          metrics::Collector* collector)
     : Entity(network.simulator(), "swap-service"),
       net_(network),
-      collector_(collector) {
+      recorder_(collector) {
   for (std::size_t i = 0; i < net_.num_links(); ++i) {
     const auto [node_a, node_b] = net_.endpoints(i);
     for (std::uint32_t node : {node_a, node_b}) {
@@ -156,17 +156,7 @@ std::uint32_t SwapService::request(const E2eRequest& request,
     rs.hops.push_back(std::move(hs));
   }
 
-  if (collector_) {
-    if (request.resubmission_of != 0) {
-      collector_->record_resubmit(request.src, request.resubmission_of,
-                                  rs.id, Priority::kNetworkLayer,
-                                  request.num_pairs, rs.submitted);
-    } else {
-      collector_->record_create(request.src, rs.id,
-                                Priority::kNetworkLayer,
-                                request.num_pairs, now());
-    }
-  }
+  recorder_.admitted(request, rs.id, request.num_pairs, now(), rs.submitted);
   if (request.resubmission_of != 0) ++stats_.resubmissions;
   ++stats_.requests;
   const std::uint32_t id = rs.id;
@@ -359,36 +349,18 @@ void SwapService::run_cascade(std::uint32_t request_id,
 
     RequestState& state = it->second;
     ok.pair_index = state.delivered++;
-    if (collector_) {
-      // Latency phase decomposition (ISSUE 8): admission -> first
-      // full-route match (generation), match -> cascade executed
-      // (swap), cascade -> classical announcement at dst (delivery).
-      // Recorded before record_ok so a completing request's open entry
-      // carries its phases into the slowest-request keeper.
-      collector_->record_pair_phases(
-          ok.src, ok.request_id,
-          sim::to_seconds(launched_at - state.admitted),
-          sim::to_seconds(cascade_at - launched_at),
-          sim::to_seconds(now() - cascade_at));
-    }
+    // Latency phase decomposition (ISSUE 8): admission -> first
+    // full-route match (generation), match -> cascade executed (swap),
+    // cascade -> classical announcement at dst (delivery).
+    recorder_.delivered(ok, now(),
+                        sim::to_seconds(launched_at - state.admitted),
+                        sim::to_seconds(cascade_at - launched_at),
+                        sim::to_seconds(now() - cascade_at));
     if (edge_stats_) {
       for (const HopState& hs : state.hops) {
         edge_stats_->on_delivered_edge(hs.hop.link, ok.fidelity);
       }
       edge_stats_->on_delivered_pair(ok.src, ok.dst);
-    }
-    if (collector_) {
-      OkMessage record;
-      record.create_id = ok.request_id;
-      record.origin_node = ok.src;
-      record.pair_index = ok.pair_index;
-      record.total_pairs = ok.total_pairs;
-      record.qubit = ok.qubit_src;
-      record.goodness = ok.fidelity;
-      record.goodness_time = ok.deliver_time;
-      record.create_time = ok.submit_time;
-      collector_->record_ok(record, Priority::kNetworkLayer, now(),
-                            ok.fidelity);
     }
     if (tracer_) {
       tracer_->instant(
@@ -425,7 +397,7 @@ void SwapService::on_err(std::size_t link, std::uint32_t node,
   };
 
   if (err.error == core::EgpError::kExpired) {
-    if (collector_) collector_->record_err(err);
+    recorder_.error(err.origin_node, err.create_id, err.error);
     // (0,0) is the EGP's whole-request expiry; the CREATE is gone from
     // the link queue, so the end-to-end request can never complete.
     if (err.seq_low == 0 && err.seq_high == 0) {
@@ -482,12 +454,7 @@ void SwapService::on_err(std::size_t link, std::uint32_t node,
     return;
   }
   RequestState& rs = requests_.at(it->second.first);
-  if (collector_) {
-    core::ErrMessage e2e = err;
-    e2e.create_id = rs.id;
-    e2e.origin_node = rs.req.src;
-    collector_->record_err(e2e);
-  }
+  recorder_.error(rs.req.src, rs.id, err.error);
   if (tracer_) {
     tracer_->instant(
         rs.req.trace_id, "egp", "error", now(),

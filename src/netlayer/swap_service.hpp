@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "core/requests.hpp"
-#include "metrics/collector.hpp"
 #include "netlayer/plane.hpp"
+#include "netlayer/plane_recorder.hpp"
 #include "netlayer/topology.hpp"
 #include "obs/trace.hpp"
 #include "sim/entity.hpp"
@@ -178,7 +178,7 @@ class SwapService : public sim::Entity, public EntanglementPlane {
   sim::SimTime correction_delay(const RequestState& rs);
 
   QuantumNetwork& net_;
-  metrics::Collector* collector_;
+  PlaneRecorder recorder_;
   std::map<std::uint32_t, RequestState> requests_;
   /// (link index, origin node of the CREATE, link-layer create id) ->
   /// (request id, hop index). Create ids are per-EGP counters, so two

@@ -35,7 +35,7 @@
 /// finish() flushes the trailing partial interval (its `dt` may be
 /// shorter) and appends a `"final": true` summary line whose totals
 /// equal the per-record delta sums — the invariant
-/// tools/monitor_check.py enforces.
+/// tools/stream_check.py enforces.
 ///
 /// Stall watchdog: a record whose span covers at least one full
 /// interval, delivered zero pairs, and sampled a positive admission
@@ -65,7 +65,7 @@ struct MonitorConfig {
   /// Record cadence in sim time (> 0).
   sim::SimTime interval = sim::duration::milliseconds(100);
   /// Label stamped into every record as "run" (empty = omitted); lets
-  /// several monitored runs share one JSONL file (monitor_check.py
+  /// several monitored runs share one JSONL file (stream_check.py
   /// validates each label group independently).
   std::string run;
   /// Expected request completions; > 0 enables the progress / eta_s

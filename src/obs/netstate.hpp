@@ -21,7 +21,7 @@
 /// delivery deltas, and the interval's hottest edges. The final record
 /// carries the full per-edge table, per-node swap/terminal activity,
 /// the deterministic Space-Saving hot-edge ranking, and totals that
-/// tools/netstate_check.py reconciles against the per-record delta
+/// tools/stream_check.py reconciles against the per-record delta
 /// sums and the metrics::Collector's request-level counters.
 ///
 /// Same observation contract as Monitor / Tracer: keyed by *sim* time
@@ -54,7 +54,7 @@ struct NetStateConfig {
   /// Record cadence in sim time (> 0).
   sim::SimTime interval = sim::duration::milliseconds(100);
   /// Label stamped into every record as "run" (empty = omitted); lets
-  /// several runs share one JSONL file (netstate_check.py validates
+  /// several runs share one JSONL file (stream_check.py validates
   /// each label group independently).
   std::string run;
   /// Hot-edge list length in interval records and in the final

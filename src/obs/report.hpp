@@ -8,9 +8,9 @@
 /// per monitored run — summary counters, the hottest edges with their
 /// utilization and contention, a stall/contention analysis, and the
 /// latency phase decomposition with the slowest requests' phase
-/// vectors. The benches render each run's section while its World is
-/// alive and concatenate them behind `--report`; tools/report.py is
-/// the offline renderer over the JSON artifacts for CI.
+/// vectors. obs::Session::report renders each run's section while the
+/// run is alive; the bench harness concatenates them behind
+/// `--report`. This is the only report renderer.
 ///
 /// Rendering only reads the same deterministic state the JSONL
 /// emitters read, so two same-seed runs produce byte-identical

@@ -61,17 +61,6 @@ Router::Router(Graph graph, netlayer::EntanglementPlane& plane,
       [this](const netlayer::E2eErr& err) { on_error(err); });
 }
 
-Router::Router(Graph graph, netlayer::QuantumNetwork& network,
-               netlayer::SwapService& swap, const RouterConfig& config,
-               metrics::Collector* collector)
-    : Router(std::move(graph), static_cast<netlayer::EntanglementPlane&>(swap),
-             config, collector) {
-  if (swap.network() != &network) {
-    throw std::invalid_argument(
-        "Router: swap service was built over a different network");
-  }
-}
-
 void Router::set_edge_stats(metrics::EdgeStats* stats) noexcept {
   edge_stats_ = stats;
   reservations_.set_edge_stats(stats);

@@ -168,12 +168,6 @@ class Router {
   Router(Graph graph, netlayer::EntanglementPlane& plane,
          const RouterConfig& config = {},
          metrics::Collector* collector = nullptr);
-
-  /// Deprecated shim (pre-plane API): the SwapService *is* the
-  /// full-detail plane; `network` must be the one it was built over.
-  Router(Graph graph, netlayer::QuantumNetwork& network,
-         netlayer::SwapService& swap, const RouterConfig& config = {},
-         metrics::Collector* collector = nullptr);
   ~Router();
 
   // selector_ references graph_ (a copy's selector would keep reading

@@ -5,8 +5,7 @@
 
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
-#include "obs/monitor.hpp"
-#include "obs/netstate.hpp"
+#include "obs/session.hpp"
 #include "routing/router.hpp"
 
 namespace qlink::workload {
@@ -248,8 +247,7 @@ void WorkloadDriver::maybe_refresh_annotations() {
 }
 
 void WorkloadDriver::on_cycle() {
-  if (monitor_ != nullptr) monitor_->poll();
-  if (netstate_ != nullptr) netstate_->poll();
+  if (session_ != nullptr) session_->poll();
   if (plane_ != nullptr) {
     // Stale-pair eviction lives in the plane here; pending_ is only
     // populated in single-link mode.

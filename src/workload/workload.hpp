@@ -19,8 +19,7 @@ class SwapService;
 }  // namespace qlink::netlayer
 
 namespace qlink::obs {
-class Monitor;
-class NetState;
+class Session;
 }  // namespace qlink::obs
 
 namespace qlink::routing {
@@ -57,7 +56,7 @@ class Router;
 ///
 /// In every mode the driver also plays the higher layer: it consumes
 /// delivered pairs, records all metrics, releases resources, and polls
-/// any attached Monitor/NetState from its cycle event.
+/// any attached obs::Session from its cycle event.
 
 namespace qlink::workload {
 
@@ -95,7 +94,7 @@ struct DriverConfig {
   std::uint64_t seed = 7;
   /// Evict unmatched delivered pairs after this long (covers lost OKs).
   sim::SimTime stale_pair_horizon = sim::duration::milliseconds(20);
-  /// Control-loop cadence (monitor/netstate polls, queue/backlog
+  /// Control-loop cadence (observation-session polls, queue/backlog
   /// samples, refresh checks, Bernoulli issue). 0 = the reference
   /// link's MHP cycle, or 10 us when no full-detail link exists
   /// (routed mode over a flow plane).
@@ -178,16 +177,11 @@ class WorkloadDriver : public sim::Entity {
   void start();
   void stop();
 
-  /// Attach a live-run monitor (ISSUE 7): the driver polls it once per
-  /// control cycle — an event that exists with or without the monitor —
+  /// Attach a run's observation session: the driver polls it once per
+  /// control cycle — an event that exists with or without the session —
   /// so interval records stream without perturbing the trajectory. The
-  /// caller still owns the monitor and calls finish() after stop().
-  void set_monitor(obs::Monitor* monitor) { monitor_ = monitor; }
-
-  /// Attach a network-state sampler (ISSUE 8): polled from the same
-  /// per-cycle control point as the monitor, same contract (the caller
-  /// owns it and calls finish() after stop()).
-  void set_netstate(obs::NetState* netstate) { netstate_ = netstate; }
+  /// caller still owns the session and calls finish() after stop().
+  void set_session(obs::Session* session) { session_ = session; }
 
   const TrafficConfig& traffic() const { return traffic_; }
   const DriverConfig& tuning() const { return tuning_; }
@@ -256,8 +250,7 @@ class WorkloadDriver : public sim::Entity {
   netlayer::EntanglementPlane* plane_ = nullptr;  // e2e + routed modes
   netlayer::SwapService* swap_ = nullptr;    // e2e mode (direct submit)
   routing::Router* router_ = nullptr;        // routed mode
-  obs::Monitor* monitor_ = nullptr;          // polled each cycle
-  obs::NetState* netstate_ = nullptr;        // polled each cycle
+  obs::Session* session_ = nullptr;          // polled each cycle
   TrafficConfig traffic_;
   DriverConfig tuning_;
   metrics::Collector& collector_;

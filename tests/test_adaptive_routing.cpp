@@ -52,8 +52,7 @@ struct DeadEdgeWorld {
     rc.cost = routing::CostModel::kHopCount;
     rc.k_candidates = 4;
     rc.max_reroutes = max_reroutes;
-    router = std::make_unique<routing::Router>(grid, *net, *swap, rc,
-                                               &collector);
+    router = std::make_unique<routing::Router>(grid, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
   }
@@ -177,7 +176,7 @@ TEST(AdaptiveRouting, BudgetExhaustionAbandonsAndReportsTerminalError) {
   SwapService swap(net, &collector);
   routing::RouterConfig rc;
   rc.max_reroutes = 5;
-  routing::Router router(grid, net, swap, rc, &collector);
+  routing::Router router(grid, swap, rc, &collector);
   const double menu[] = {0.7};
   router.annotate_from_network(menu);
 
@@ -219,7 +218,7 @@ TEST(AnnotationRefresh, BlendsMeasurementsAndDecaysWhenStale) {
   nc.link.scenario = hw::ScenarioParams::lab();
   QuantumNetwork net(nc);
   SwapService swap(net);
-  routing::Router router(chain, net, swap);
+  routing::Router router(chain, swap);
   const double menu[] = {0.7};
   router.annotate_from_network(menu);
   const double model = router.graph().params(0).fidelity;

@@ -56,8 +56,7 @@ struct ContendedChain {
     rc.lease_slack = 0.5;
     rc.defer_admission = scheduler;
     rc.batch_admission = scheduler;
-    router = std::make_unique<routing::Router>(chain, *net, *swap, rc,
-                                               &collector);
+    router = std::make_unique<routing::Router>(chain, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
   }
@@ -219,8 +218,7 @@ struct DeadRing {
     rc.k_candidates = 4;
     rc.max_reroutes = max_reroutes;
     rc.exclusion_ttl = exclusion_ttl;
-    router = std::make_unique<routing::Router>(ring, *net, *swap, rc,
-                                               &collector);
+    router = std::make_unique<routing::Router>(ring, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
     router->set_error_handler(

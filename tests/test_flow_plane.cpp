@@ -236,7 +236,10 @@ TEST(FlowPlane, LinkServiceIsFifoAcrossRequests) {
 }
 
 TEST(FlowPlane, InfeasibleFloorFailsAsynchronously) {
-  netlayer::FlowPlane plane(toy_config(1));
+  metrics::Collector collector;
+  netlayer::FlowPlaneConfig fc = toy_config(1);
+  fc.collector = &collector;
+  netlayer::FlowPlane plane(std::move(fc));
   std::vector<netlayer::E2eErr> errs;
   plane.set_error_handler(
       [&errs](const netlayer::E2eErr& err) { errs.push_back(err); });
@@ -248,6 +251,32 @@ TEST(FlowPlane, InfeasibleFloorFailsAsynchronously) {
   ASSERT_EQ(errs.size(), 1u);
   EXPECT_EQ(errs[0].request_id, id);
   EXPECT_EQ(errs[0].error, core::EgpError::kUnsupported);
+  // The failure closes the request's Collector entry, as on SwapService.
+  EXPECT_EQ(collector.errors(core::EgpError::kUnsupported), 1u);
+  EXPECT_EQ(collector.open_requests(), 0u);
+}
+
+TEST(FlowPlane, ResubmissionIsRecordedAsARerouteNotANewRequest) {
+  metrics::Collector collector;
+  netlayer::FlowPlaneConfig fc = toy_config(5);
+  fc.collector = &collector;
+  netlayer::FlowPlane plane(std::move(fc));
+  netlayer::E2eRequest first = chain_request(1);
+  first.link_min_fidelity = 0.95;  // fails: infeasible floor
+  const std::uint32_t failed = plane.submit(first, kChainRoute);
+  plane.run_for(sim::duration::seconds(1));
+
+  netlayer::E2eRequest retry = chain_request(1);
+  retry.resubmission_of = failed;
+  retry.submitted_at = 0;
+  plane.submit(retry, kChainRoute);
+  plane.run_for(sim::duration::seconds(100));
+
+  const auto& nl = collector.kind(core::Priority::kNetworkLayer);
+  EXPECT_EQ(collector.reroutes(), 1u);
+  EXPECT_EQ(nl.requests_submitted, 1u);
+  EXPECT_EQ(nl.requests_completed, 1u);
+  EXPECT_EQ(collector.open_requests(), 0u);
 }
 
 TEST(FlowPlane, RecordsCreateOkAndPhasesIntoCollector) {

@@ -71,8 +71,7 @@ struct MonitoredWorld {
     rc.cost = routing::CostModel::kHopCount;
     rc.k_candidates = 4;
     rc.max_reroutes = 3;
-    router = std::make_unique<routing::Router>(grid, *net, *swap, rc,
-                                               &collector);
+    router = std::make_unique<routing::Router>(grid, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
     if (monitored) {
@@ -207,8 +206,7 @@ struct StarvedWorld {
     swap = std::make_unique<SwapService>(*net, &collector);
     routing::RouterConfig rc;
     rc.cost = routing::CostModel::kHopCount;
-    router = std::make_unique<routing::Router>(chain, *net, *swap, rc,
-                                               &collector);
+    router = std::make_unique<routing::Router>(chain, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
     E2eRequest req;

@@ -409,7 +409,7 @@ TEST(Router, AdmitsDisjointPathsAndRetriesBlocked) {
   rc.cost = routing::CostModel::kFidelity;
   rc.k_candidates = 4;
   metrics::Collector collector;
-  routing::Router router(grid, net, swap, rc, &collector);
+  routing::Router router(grid, swap, rc, &collector);
   const double menu[] = {0.8};
   router.annotate_from_network(menu);
 
@@ -467,7 +467,7 @@ TEST(Router, MalformedPinnedPathDoesNotLeakReservations) {
   nc.link.scenario = hw::ScenarioParams::lab();
   QuantumNetwork net(nc);
   SwapService swap(net);
-  routing::Router router(chain, net, swap);
+  routing::Router router(chain, swap);
 
   routing::Path gap;  // skips the middle edge: not a contiguous walk
   gap.edges = {0, 2};
@@ -502,7 +502,7 @@ TEST(Router, DrivesRandomTrafficOverGrid) {
   SwapService swap(net, &collector);
   routing::RouterConfig rc;
   rc.cost = routing::CostModel::kHopCount;
-  routing::Router router(grid, net, swap, rc, &collector);
+  routing::Router router(grid, swap, rc, &collector);
   const double menu[] = {0.75};
   router.annotate_from_network(menu);
 

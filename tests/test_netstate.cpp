@@ -11,6 +11,7 @@
 #include "netlayer/topology.hpp"
 #include "obs/netstate.hpp"
 #include "obs/report.hpp"
+#include "obs/session.hpp"
 #include "qstate/backend_registry.hpp"
 #include "routing/router.hpp"
 
@@ -260,8 +261,7 @@ struct SampledWorld {
     rc.cost = routing::CostModel::kHopCount;
     rc.k_candidates = 4;
     rc.max_reroutes = 3;
-    router = std::make_unique<routing::Router>(grid, *net, *swap, rc,
-                                               &collector);
+    router = std::make_unique<routing::Router>(grid, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
     if (sampled) {
@@ -277,9 +277,10 @@ struct SampledWorld {
     }
   }
 
-  /// Run one 0 -> 2 request to settlement; returns the byte-exact
-  /// trajectory fingerprint (deliveries + end time + event count).
-  std::string run_request() {
+  /// Run one 0 -> 2 request to settlement, polling `session` when
+  /// given; returns the byte-exact trajectory fingerprint (deliveries +
+  /// end time + event count).
+  std::string run_request(Session* session = nullptr) {
     std::string deliveries;
     router->set_deliver_handler([&](const E2eOk& ok) {
       char line[160];
@@ -302,8 +303,10 @@ struct SampledWorld {
     for (int i = 0; i < 4000 && stats.completed + stats.failed < 1; ++i) {
       net->run_for(sim::duration::milliseconds(1));
       if (netstate != nullptr) netstate->poll();
+      if (session != nullptr) session->poll();
     }
     if (netstate != nullptr) netstate->finish();
+    if (session != nullptr) session->finish();
     EXPECT_EQ(stats.completed, 1u);
     char tail[64];
     std::snprintf(tail, sizeof(tail), "end %lld %llu\n",
@@ -379,7 +382,7 @@ TEST(NetStateRun, TotalsReconcileWithTheCollector) {
                  /*sampled=*/true);
   w.run_request();
   // Request-level counters agree between the per-edge substrate and
-  // the Collector (netstate_check.py verifies the same from JSONL).
+  // the Collector (stream_check.py netstate verifies the same from JSONL).
   EXPECT_EQ(w.edge_stats->deliveries(),
             w.collector.total_pairs_delivered());
   EXPECT_EQ(w.edge_stats->blocked_requests(),
@@ -435,6 +438,32 @@ TEST(NetStateRun, RunReportRendersTheRun) {
   // Deterministic rendering: same state, same bytes.
   EXPECT_EQ(md, render_run_report(w.net->simulator(), *w.edge_stats,
                                   w.collector, &w.grid, ro));
+}
+
+TEST(NetStateRun, SessionMatchesTheHandWiredObservers) {
+  SampledWorld wired(qstate::BackendKind::kBellDiagonal, 11,
+                     /*sampled=*/true);
+  SampledWorld bare(qstate::BackendKind::kBellDiagonal, 11,
+                    /*sampled=*/false);
+  Session session(bare.collector, {.run = "test"}, /*trace=*/true);
+  session.attach(*bare.router);
+  session.watch({.run = "test"});
+  // A full session (Monitor and Tracer too) leaves the trajectory
+  // untouched, and its NetState stream and report equal the ones the
+  // hand-wired observers produce.
+  EXPECT_EQ(wired.run_request(), bare.run_request(&session));
+  EXPECT_EQ(session.netstate_jsonl(), wired.netstate->jsonl());
+  EXPECT_EQ(session.report("t"),
+            render_run_report(wired.net->simulator(), *wired.edge_stats,
+                              wired.collector, &wired.grid, {.title = "t"}));
+  EXPECT_EQ(session.max_utilization(), wired.netstate->max_utilization());
+  ASSERT_TRUE(session.monitored());
+  EXPECT_EQ(count_of(session.monitor_jsonl(), "\"final\":true"), 1u);
+  ASSERT_NE(session.tracer(), nullptr);
+  EXPECT_GT(session.tracer()->num_events(), 0u);
+  // The full-detail plane's counters ride in the snapshot.
+  EXPECT_NE(session.snapshot_json().find("\"swap\""), std::string::npos);
+  EXPECT_NE(session.snapshot_json().find("\"backend\""), std::string::npos);
 }
 
 }  // namespace

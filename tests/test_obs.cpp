@@ -306,8 +306,7 @@ struct TracedWorld {
     rc.cost = routing::CostModel::kHopCount;
     rc.k_candidates = 4;
     rc.max_reroutes = 3;
-    router = std::make_unique<routing::Router>(grid, *net, *swap, rc,
-                                               &collector);
+    router = std::make_unique<routing::Router>(grid, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
     if (traced) {
