@@ -31,7 +31,7 @@
 #include "common.hpp"
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
-#include "qstate/backend_registry.hpp"
+#include "qstate/state_store.hpp"
 
 using namespace qlink;
 using namespace qlink::bench;

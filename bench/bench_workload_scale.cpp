@@ -69,7 +69,7 @@
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
 #include "obs/snapshot.hpp"
-#include "qstate/backend_registry.hpp"
+#include "qstate/state_store.hpp"
 #include "routing/router.hpp"
 #include "sim/sharded_engine.hpp"
 #include "workload/arrival.hpp"

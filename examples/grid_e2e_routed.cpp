@@ -18,7 +18,7 @@
 
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
-#include "qstate/backend_registry.hpp"
+#include "qstate/state_store.hpp"
 #include "routing/router.hpp"
 
 using namespace qlink;

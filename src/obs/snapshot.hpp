@@ -5,7 +5,7 @@
 #include "metrics/collector.hpp"
 #include "metrics/histogram.hpp"
 #include "netlayer/swap_service.hpp"
-#include "qstate/backend.hpp"
+#include "qstate/state_store.hpp"
 #include "routing/router.hpp"
 #include "sim/simulator.hpp"
 

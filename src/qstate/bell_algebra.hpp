@@ -16,7 +16,7 @@
 /// (phase bit f, parity bit g) packed as f + 2g, single-sided Paulis,
 /// channel application and entanglement swapping all become XOR
 /// arithmetic on indices — the group structure behind the
-/// BellDiagonalBackend's fast paths.
+/// Bell-diagonal state store's fast paths.
 ///
 /// Bell index <-> Pauli type: Phi+ = I, Psi+ = X, Psi- = Y, Phi- = Z
 /// (B_sigma = (sigma x I)|Phi+> up to phase). `bell_code_of_pauli`
@@ -97,7 +97,7 @@ PauliChannelWeights pauli_channel_weights(
     std::span<const quantum::Matrix> kraus, double tol = 1e-12);
 
 /// Pauli-twirl weights of amplitude damping (gamma) composed with
-/// dephasing (p): the closed form used by BellDiagonalBackend::decay.
+/// dephasing (p): the closed form used by StateStore::decay.
 /// Exact when gamma == 0.
 std::array<double, 4> t1t2_twirl_weights(double gamma, double dephase_p);
 

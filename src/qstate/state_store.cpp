@@ -1,4 +1,4 @@
-#include "qstate/hybrid_backend.hpp"
+#include "qstate/state_store.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -8,7 +8,7 @@
 #include "quantum/bell.hpp"
 #include "quantum/channels.hpp"
 
-namespace qlink::qstate::detail {
+namespace qlink::qstate {
 
 using quantum::DensityMatrix;
 using quantum::Matrix;
@@ -72,23 +72,40 @@ void check_no_duplicates(std::span<const QubitId> qubits) {
 
 }  // namespace
 
-HybridBackend::HybridBackend(sim::Random& random, bool structured,
-                             const char* name)
-    : random_(random), structured_(structured), name_(name) {}
+const char* backend_kind_name(BackendKind kind) noexcept {
+  switch (kind) {
+    case BackendKind::kDense:
+      return "dense";
+    case BackendKind::kBellDiagonal:
+      return "bell-diagonal";
+  }
+  return "?";
+}
 
-HybridBackend::~HybridBackend() = default;
+std::optional<BackendKind> parse_backend_kind(std::string_view name) {
+  if (name == "dense") return BackendKind::kDense;
+  if (name == "bell" || name == "bell-diagonal") {
+    return BackendKind::kBellDiagonal;
+  }
+  return std::nullopt;
+}
+
+StateStore::StateStore(sim::Random& random, BackendKind kind)
+    : random_(random),
+      kind_(kind),
+      structured_(kind == BackendKind::kBellDiagonal) {}
 
 // ---------------------------------------------------------------------------
 // Slot / group bookkeeping
 
-const HybridBackend::Slot& HybridBackend::slot(QubitId q) const {
+const StateStore::Slot& StateStore::slot(QubitId q) const {
   if (q >= slots_.size() || slots_[q].group == kNoGroup) {
     throw std::invalid_argument("QuantumRegistry: unknown qubit");
   }
   return slots_[q];
 }
 
-std::uint32_t HybridBackend::alloc_group() {
+std::uint32_t StateStore::alloc_group() {
   if (!free_groups_.empty()) {
     const std::uint32_t gi = free_groups_.back();
     free_groups_.pop_back();
@@ -98,7 +115,7 @@ std::uint32_t HybridBackend::alloc_group() {
   return static_cast<std::uint32_t>(groups_.size() - 1);
 }
 
-void HybridBackend::free_group(std::uint32_t gi) {
+void StateStore::free_group(std::uint32_t gi) {
   Group& g = groups_[gi];
   if (!g.rho.empty()) pool_.release(std::move(g.rho));
   g.rho.clear();
@@ -108,7 +125,7 @@ void HybridBackend::free_group(std::uint32_t gi) {
   free_groups_.push_back(gi);
 }
 
-void HybridBackend::make_singleton(QubitId q) {
+void StateStore::make_singleton(QubitId q) {
   const std::uint32_t gi = alloc_group();
   Group& g = groups_[gi];
   g.rep = Rep::kSingle;
@@ -119,7 +136,7 @@ void HybridBackend::make_singleton(QubitId q) {
   slots_[q] = Slot{gi, 0};
 }
 
-QubitId HybridBackend::create() {
+QubitId StateStore::create() {
   const QubitId id = next_id_++;
   if (id >= slots_.size()) slots_.resize(id + 1);
   make_singleton(id);
@@ -127,15 +144,15 @@ QubitId HybridBackend::create() {
   return id;
 }
 
-bool HybridBackend::exists(QubitId q) const {
+bool StateStore::exists(QubitId q) const {
   return q < slots_.size() && slots_[q].group != kNoGroup;
 }
 
-std::size_t HybridBackend::group_size(QubitId q) const {
+std::size_t StateStore::group_size(QubitId q) const {
   return group_of(q).members.size();
 }
 
-void HybridBackend::extract(QubitId q) {
+void StateStore::extract(QubitId q) {
   const Slot s = slot(q);
   Group& g = groups_[s.group];
   if (g.members.size() == 1) return;
@@ -157,14 +174,14 @@ void HybridBackend::extract(QubitId q) {
   make_singleton(q);
 }
 
-void HybridBackend::discard(QubitId q) {
+void StateStore::discard(QubitId q) {
   extract(q);
   free_group(slots_[q].group);
   slots_[q].group = kNoGroup;
   --live_;
 }
 
-void HybridBackend::reset(QubitId q) {
+void StateStore::reset(QubitId q) {
   extract(q);
   Group& g = group_of(q);
   if (!g.rho.empty()) pool_.release(std::move(g.rho));
@@ -178,7 +195,7 @@ void HybridBackend::reset(QubitId q) {
 // ---------------------------------------------------------------------------
 // Materialisation, promotion, merge
 
-std::vector<Complex> HybridBackend::materialize(const Group& g) const {
+std::vector<Complex> StateStore::materialize(const Group& g) const {
   auto& pool = const_cast<BufferPool&>(pool_);
   switch (g.rep) {
     case Rep::kSingle: {
@@ -204,7 +221,7 @@ std::vector<Complex> HybridBackend::materialize(const Group& g) const {
   throw std::logic_error("materialize: invalid representation");
 }
 
-DensityMatrix HybridBackend::materialize_dm(const Group& g) const {
+DensityMatrix StateStore::materialize_dm(const Group& g) const {
   if (g.rep == Rep::kPair) {
     return quantum::bell::from_coefficients(g.bell);
   }
@@ -223,7 +240,7 @@ DensityMatrix HybridBackend::materialize_dm(const Group& g) const {
   return DensityMatrix::from_matrix(std::move(m));
 }
 
-void HybridBackend::promote(std::uint32_t gi) {
+void StateStore::promote(std::uint32_t gi) {
   Group& g = groups_[gi];
   if (g.rep == Rep::kDense) return;
   if (g.rep == Rep::kPair) ++stats_.promotions;
@@ -231,8 +248,8 @@ void HybridBackend::promote(std::uint32_t gi) {
   g.rep = Rep::kDense;
 }
 
-std::uint32_t HybridBackend::merge(std::span<const QubitId> qubits,
-                                   std::vector<int>& indices) {
+std::uint32_t StateStore::merge(std::span<const QubitId> qubits,
+                                std::vector<int>& indices) {
   if (qubits.empty()) throw std::invalid_argument("merge: no qubits");
   check_no_duplicates(qubits);
 
@@ -295,7 +312,7 @@ std::uint32_t HybridBackend::merge(std::span<const QubitId> qubits,
 // ---------------------------------------------------------------------------
 // Dense in-place kernels
 
-void HybridBackend::dense_apply_1q(Group& g, const Matrix& u, int qubit) {
+void StateStore::dense_apply_1q(Group& g, const Matrix& u, int qubit) {
   const std::size_t d = std::size_t{1} << g.nq;
   const std::size_t m = std::size_t{1} << (g.nq - 1 - qubit);
   const Complex u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
@@ -325,8 +342,8 @@ void HybridBackend::dense_apply_1q(Group& g, const Matrix& u, int qubit) {
   }
 }
 
-void HybridBackend::dense_apply_2q(Group& g, const Matrix& u, int q0,
-                                   int q1) {
+void StateStore::dense_apply_2q(Group& g, const Matrix& u, int q0,
+                                int q1) {
   const std::size_t d = std::size_t{1} << g.nq;
   // Sub-index convention matches DensityMatrix::expand_operator: the
   // first target is the more significant sub-bit.
@@ -367,8 +384,8 @@ void HybridBackend::dense_apply_2q(Group& g, const Matrix& u, int q0,
   }
 }
 
-void HybridBackend::dense_apply_generic(Group& g, const Matrix& u,
-                                        std::span<const int> targets) {
+void StateStore::dense_apply_generic(Group& g, const Matrix& u,
+                                     std::span<const int> targets) {
   DensityMatrix dm = materialize_dm(g);
   dm.apply_unitary(u, targets);
   const std::size_t d = std::size_t{1} << g.nq;
@@ -377,8 +394,8 @@ void HybridBackend::dense_apply_generic(Group& g, const Matrix& u,
   }
 }
 
-void HybridBackend::dense_kraus(Group& g, std::span<const Matrix> kraus,
-                                std::span<const int> targets) {
+void StateStore::dense_kraus(Group& g, std::span<const Matrix> kraus,
+                             std::span<const int> targets) {
   if (kraus.empty()) throw std::invalid_argument("apply_kraus: empty set");
   const std::size_t k = targets.size();
   const std::size_t d = std::size_t{1} << g.nq;
@@ -410,7 +427,7 @@ void HybridBackend::dense_kraus(Group& g, std::span<const Matrix> kraus,
   g.rho = std::move(acc);
 }
 
-void HybridBackend::dense_dephase(Group& g, int qubit, double p) {
+void StateStore::dense_dephase(Group& g, int qubit, double p) {
   const std::size_t d = std::size_t{1} << g.nq;
   const std::size_t m = std::size_t{1} << (g.nq - 1 - qubit);
   const double factor = 1.0 - 2.0 * p;
@@ -424,7 +441,7 @@ void HybridBackend::dense_dephase(Group& g, int qubit, double p) {
   }
 }
 
-void HybridBackend::dense_depolarize(Group& g, int qubit, double f) {
+void StateStore::dense_depolarize(Group& g, int qubit, double f) {
   const std::size_t d = std::size_t{1} << g.nq;
   const std::size_t m = std::size_t{1} << (g.nq - 1 - qubit);
   const double e = (1.0 - f) / 3.0;
@@ -448,8 +465,8 @@ void HybridBackend::dense_depolarize(Group& g, int qubit, double f) {
   }
 }
 
-void HybridBackend::dense_decay(Group& g, int qubit, double gamma,
-                                double pd) {
+void StateStore::dense_decay(Group& g, int qubit, double gamma,
+                             double pd) {
   const std::size_t d = std::size_t{1} << g.nq;
   const std::size_t m = std::size_t{1} << (g.nq - 1 - qubit);
   const double keep = 1.0 - gamma;
@@ -470,7 +487,7 @@ void HybridBackend::dense_decay(Group& g, int qubit, double gamma,
   }
 }
 
-void HybridBackend::dense_remove_qubit(std::uint32_t gi, int qubit) {
+void StateStore::dense_remove_qubit(std::uint32_t gi, int qubit) {
   Group& g = groups_[gi];
   const std::size_t d = std::size_t{1} << g.nq;
   const std::size_t dr = d / 2;
@@ -501,8 +518,8 @@ void HybridBackend::dense_remove_qubit(std::uint32_t gi, int qubit) {
   }
 }
 
-int HybridBackend::dense_measure(Group& g, QubitId q,
-                                 quantum::gates::Basis basis) {
+int StateStore::dense_measure(Group& g, QubitId q,
+                              quantum::gates::Basis basis) {
   const Slot s = slots_[q];
   if (basis != gates::Basis::kZ) {
     dense_apply_1q(g, gates::basis_change(basis),
@@ -539,8 +556,8 @@ int HybridBackend::dense_measure(Group& g, QubitId q,
 // ---------------------------------------------------------------------------
 // Public operations
 
-void HybridBackend::apply_unitary(const Matrix& u,
-                                  std::span<const QubitId> qubits) {
+void StateStore::apply_unitary(const Matrix& u,
+                               std::span<const QubitId> qubits) {
   if (qubits.empty()) throw std::invalid_argument("merge: no qubits");
   if (!u.is_square() ||
       u.rows() != (std::size_t{1} << qubits.size())) {
@@ -598,8 +615,8 @@ void HybridBackend::apply_unitary(const Matrix& u,
   ++stats_.dense_ops;
 }
 
-void HybridBackend::apply_kraus(std::span<const Matrix> kraus,
-                                std::span<const QubitId> qubits) {
+void StateStore::apply_kraus(std::span<const Matrix> kraus,
+                             std::span<const QubitId> qubits) {
   if (kraus.empty()) throw std::invalid_argument("apply_kraus: empty set");
   if (qubits.empty()) throw std::invalid_argument("merge: no qubits");
   const std::size_t dim = std::size_t{1} << qubits.size();
@@ -625,8 +642,7 @@ void HybridBackend::apply_kraus(std::span<const Matrix> kraus,
       const auto weights = ba::pauli_channel_weights(kraus);
       const double total =
           weights.w[0] + weights.w[1] + weights.w[2] + weights.w[3];
-      if ((weights.exact || twirl_non_pauli_) &&
-          std::abs(total - 1.0) <= 1e-9) {
+      if (std::abs(total - 1.0) <= 1e-9) {
         g.bell = ba::apply_pauli_channel(g.bell, weights.w);
         ++stats_.fast_ops;
         return;
@@ -645,7 +661,7 @@ void HybridBackend::apply_kraus(std::span<const Matrix> kraus,
   ++stats_.dense_ops;
 }
 
-void HybridBackend::dephase(QubitId q, double p) {
+void StateStore::dephase(QubitId q, double p) {
   if (p < -1e-12 || p > 1.0 + 1e-12) {
     throw std::invalid_argument("dephasing: out of [0,1]");
   }
@@ -674,7 +690,7 @@ void HybridBackend::dephase(QubitId q, double p) {
   }
 }
 
-void HybridBackend::depolarize(QubitId q, double f) {
+void StateStore::depolarize(QubitId q, double f) {
   if (f < -1e-12 || f > 1.0 + 1e-12) {
     throw std::invalid_argument("depolarizing: out of [0,1]");
   }
@@ -704,8 +720,8 @@ void HybridBackend::depolarize(QubitId q, double f) {
   }
 }
 
-void HybridBackend::decay(QubitId q, double t_ns, double t1_ns,
-                          double t2_ns) {
+void StateStore::decay(QubitId q, double t_ns, double t1_ns,
+                       double t2_ns) {
   const auto rates = quantum::channels::t1t2_rates(t_ns, t1_ns, t2_ns);
   if (rates.gamma == 0.0 && rates.dephase_p == 0.0) {
     (void)slot(q);  // still validate the qubit
@@ -731,25 +747,20 @@ void HybridBackend::decay(QubitId q, double t_ns, double t1_ns,
         dephase(q, rates.dephase_p);  // exact: pure dephasing
         return;
       }
-      if (twirl_non_pauli_) {
-        g.bell = ba::apply_pauli_channel(
-            g.bell,
-            ba::t1t2_twirl_weights(rates.gamma, rates.dephase_p));
-        ++stats_.fast_ops;
-        return;
-      }
-      promote(s.group);
-      [[fallthrough]];
+      g.bell = ba::apply_pauli_channel(
+          g.bell, ba::t1t2_twirl_weights(rates.gamma, rates.dephase_p));
+      ++stats_.fast_ops;
+      return;
     }
     case Rep::kDense:
-      dense_decay(groups_[s.group], static_cast<int>(s.index), rates.gamma,
+      dense_decay(g, static_cast<int>(s.index), rates.gamma,
                   rates.dephase_p);
       ++stats_.dense_ops;
       return;
   }
 }
 
-int HybridBackend::measure(QubitId q, quantum::gates::Basis basis) {
+int StateStore::measure(QubitId q, quantum::gates::Basis basis) {
   const Slot s = slot(q);
   Group& g = groups_[s.group];
 
@@ -797,9 +808,9 @@ int HybridBackend::measure(QubitId q, quantum::gates::Basis basis) {
   return outcome;
 }
 
-void HybridBackend::pair_measure_collapse(std::uint32_t gi, QubitId q,
-                                          quantum::gates::Basis basis,
-                                          int outcome) {
+void StateStore::pair_measure_collapse(std::uint32_t gi, QubitId q,
+                                       quantum::gates::Basis basis,
+                                       int outcome) {
   Group& g = groups_[gi];
   const auto& p = g.bell;
   const double tx = p[0] - p[1] + p[2] - p[3];
@@ -850,8 +861,8 @@ void HybridBackend::pair_measure_collapse(std::uint32_t gi, QubitId q,
   }
 }
 
-std::pair<int, int> HybridBackend::bell_measure(QubitId control,
-                                                QubitId target) {
+std::pair<int, int> StateStore::bell_measure(QubitId control,
+                                             QubitId target) {
   const Slot sc = slot(control);
   const Slot st = slot(target);
   if (structured_ && sc.group != st.group &&
@@ -909,8 +920,8 @@ std::pair<int, int> HybridBackend::bell_measure(QubitId control,
   return {m1, m2};
 }
 
-void HybridBackend::set_state(std::span<const QubitId> qubits,
-                              const DensityMatrix& dm) {
+void StateStore::set_state(std::span<const QubitId> qubits,
+                           const DensityMatrix& dm) {
   if (static_cast<int>(qubits.size()) != dm.num_qubits()) {
     throw std::invalid_argument("set_state: qubit/state size mismatch");
   }
@@ -982,7 +993,7 @@ void HybridBackend::set_state(std::span<const QubitId> qubits,
   ++stats_.dense_ops;
 }
 
-bool HybridBackend::try_set_pair(std::uint32_t gi, const DensityMatrix& dm) {
+bool StateStore::try_set_pair(std::uint32_t gi, const DensityMatrix& dm) {
   // Accept only (numerically) Bell-diagonal installs; anything else is
   // outside the structured manifold and stays dense.
   if (quantum::bell::off_diagonal_residual(dm) > kBellTolerance) {
@@ -998,7 +1009,7 @@ bool HybridBackend::try_set_pair(std::uint32_t gi, const DensityMatrix& dm) {
   return true;
 }
 
-DensityMatrix HybridBackend::peek(std::span<const QubitId> qubits) const {
+DensityMatrix StateStore::peek(std::span<const QubitId> qubits) const {
   if (qubits.empty()) throw std::invalid_argument("peek: no qubits");
   // Qubits in different groups are uncorrelated: the reduced state is
   // the tensor of per-group reductions (same algorithm as the
@@ -1054,4 +1065,4 @@ DensityMatrix HybridBackend::peek(std::span<const QubitId> qubits) const {
   return out.permuted(final_perm);
 }
 
-}  // namespace qlink::qstate::detail
+}  // namespace qlink::qstate

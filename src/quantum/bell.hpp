@@ -54,7 +54,7 @@ DensityMatrix from_coefficients(const std::array<double, 4>& p);
 /// only the Bell-basis diagonal. This is the average over correlated
 /// two-sided Paulis (sigma x sigma), so it exactly preserves fidelity
 /// to every Bell state and the QBER in every basis — the "Pauli frame"
-/// the BellDiagonalBackend simulates in.
+/// the Bell-diagonal state store simulates in.
 DensityMatrix twirl(const DensityMatrix& rho);
 
 /// Name for reports, e.g. "Psi+".

@@ -1,7 +1,5 @@
 #include "quantum/registry.hpp"
 
-#include "qstate/backend_registry.hpp"
-
 namespace qlink::quantum {
 
 QuantumRegistry::QuantumRegistry(sim::Random& random)
@@ -9,13 +7,7 @@ QuantumRegistry::QuantumRegistry(sim::Random& random)
 
 QuantumRegistry::QuantumRegistry(sim::Random& random,
                                  qstate::BackendKind kind)
-    : random_(random), backend_(qstate::make_backend(kind, random)) {}
-
-QuantumRegistry::QuantumRegistry(
-    sim::Random& random, std::unique_ptr<qstate::StateBackend> backend)
-    : random_(random), backend_(std::move(backend)) {}
-
-QuantumRegistry::~QuantumRegistry() = default;
+    : random_(random), store_(random, kind) {}
 
 double QuantumRegistry::fidelity(std::span<const QubitId> qubits,
                                  std::span<const Complex> psi) const {

@@ -12,8 +12,8 @@
 
 /// Backend-equivalence acceptance tests (ISSUE 2): identically seeded
 /// *full* simulation runs — a single link and a 3-hop chain — must
-/// report fidelity/QBER within 1e-6 between DenseBackend and
-/// BellDiagonalBackend on Clifford+Pauli scenarios, and every backend
+/// report fidelity/QBER within 1e-6 between the kDense and
+/// kBellDiagonal store kinds on Clifford+Pauli scenarios, and every kind
 /// must replay byte-identical delivery sequences from one seed.
 ///
 /// The Clifford+Pauli scenario is the lab hardware with (a) infinite

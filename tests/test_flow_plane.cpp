@@ -9,7 +9,7 @@
 #include "metrics/collector.hpp"
 #include "netlayer/flow_plane.hpp"
 #include "netlayer/swap_service.hpp"
-#include "qstate/backend_registry.hpp"
+#include "qstate/state_store.hpp"
 #include "routing/router.hpp"
 #include "workload/arrival.hpp"
 #include "workload/workload.hpp"

@@ -9,7 +9,7 @@
 #include "netlayer/topology.hpp"
 #include "obs/monitor.hpp"
 #include "obs/trace.hpp"
-#include "qstate/backend_registry.hpp"
+#include "qstate/state_store.hpp"
 #include "routing/router.hpp"
 
 /// Live run monitor (ISSUE 7): interval time-series telemetry and the

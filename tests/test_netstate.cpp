@@ -12,7 +12,7 @@
 #include "obs/netstate.hpp"
 #include "obs/report.hpp"
 #include "obs/session.hpp"
-#include "qstate/backend_registry.hpp"
+#include "qstate/state_store.hpp"
 #include "routing/router.hpp"
 
 /// Network-state observability (ISSUE 8): the per-edge accounting

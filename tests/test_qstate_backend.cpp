@@ -3,17 +3,15 @@
 #include <array>
 #include <cmath>
 
-#include "qstate/backend_registry.hpp"
 #include "qstate/bell_algebra.hpp"
-#include "qstate/bell_backend.hpp"
-#include "qstate/dense_backend.hpp"
+#include "qstate/state_store.hpp"
 #include "quantum/bell.hpp"
 #include "quantum/channels.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/registry.hpp"
 
-/// Unit tests for the pluggable quantum-state backend subsystem
-/// (src/qstate/): the Bell-diagonal closed forms are checked op-by-op
+/// Unit tests for the quantum-state store (src/qstate/): the
+/// Bell-diagonal closed forms are checked op-by-op
 /// against the dense reference with identical Random streams, and the
 /// promotion rules are exercised explicitly. Full-stack equivalence
 /// (whole link / chain runs) lives in test_backend_equivalence.cpp.
@@ -109,17 +107,19 @@ TEST(BellAlgebra, T1T2TwirlWeightsAreAProbabilityDistribution) {
   EXPECT_NEAR(w0[3], 0.25, 1e-12);
 }
 
-TEST(BackendRegistryTest, BuiltinsAndParsing) {
-  auto& registry = qstate::BackendRegistry::instance();
-  EXPECT_TRUE(registry.contains("dense"));
-  EXPECT_TRUE(registry.contains("bell"));
-  sim::Random random{1};
-  EXPECT_STREQ(registry.make("bell", random)->name(), "bell-diagonal");
-  EXPECT_THROW(registry.make("no-such-backend", random),
-               std::invalid_argument);
+TEST(BackendKindTest, NamesAndParsing) {
   EXPECT_EQ(qstate::parse_backend_kind("dense"), BackendKind::kDense);
   EXPECT_EQ(qstate::parse_backend_kind("bell"), BackendKind::kBellDiagonal);
+  EXPECT_EQ(qstate::parse_backend_kind("bell-diagonal"),
+            BackendKind::kBellDiagonal);
   EXPECT_EQ(qstate::parse_backend_kind("bogus"), std::nullopt);
+  // The names every bench JSON "backend" field carries.
+  sim::Random random{1};
+  EXPECT_STREQ(QuantumRegistry(random, BackendKind::kDense).backend().name(),
+               "dense");
+  EXPECT_STREQ(
+      QuantumRegistry(random, BackendKind::kBellDiagonal).backend().name(),
+      "bell-diagonal");
 }
 
 TEST(BellBackendTest, BellDiagonalInstallStaysStructured) {
@@ -367,34 +367,22 @@ TEST(BellBackendTest, FiniteT1DecayUsesTwirlByDefault) {
   EXPECT_NEAR(rho.trace_real(), 1.0, 1e-12);
 }
 
-TEST(BellBackendTest, StrictModePromotesOnFiniteT1) {
-  sim::Random random{9};
-  qstate::BellDiagonalBackend backend(random);
-  backend.set_twirl_non_pauli(false);
-  const auto a = backend.create();
-  const auto b = backend.create();
-  const qstate::QubitId pair[] = {a, b};
-  backend.set_state(pair, bell::from_coefficients(arbitrary_coeffs(8)));
-  backend.decay(a, 1e4, 2.86e6, 1.0e6);
-  EXPECT_EQ(backend.stats().promotions, 1u);
-}
-
-TEST(DenseBackendTest, PoolRecyclesBuffers) {
+TEST(DenseStoreTest, PoolRecyclesBuffers) {
   sim::Random random{11};
-  qstate::DenseBackend backend(random);
-  const auto a = backend.create();
-  const auto b = backend.create();
+  qstate::StateStore store(random, BackendKind::kDense);
+  const auto a = store.create();
+  const auto b = store.create();
   const qstate::QubitId pair[] = {a, b};
   for (int i = 0; i < 32; ++i) {
-    backend.set_state(pair, bell::from_coefficients(arbitrary_coeffs(0)));
-    backend.reset(a);
-    backend.reset(b);
+    store.set_state(pair, bell::from_coefficients(arbitrary_coeffs(0)));
+    store.reset(a);
+    store.reset(b);
   }
-  EXPECT_GT(backend.stats().pool_hits, 0u);
-  EXPECT_LT(backend.stats().pool_misses, 16u);
+  EXPECT_GT(store.stats().pool_hits, 0u);
+  EXPECT_LT(store.stats().pool_misses, 16u);
 }
 
-TEST(DenseBackendTest, BellMeasureMatchesExplicitCircuit) {
+TEST(DenseStoreTest, BellMeasureMatchesExplicitCircuit) {
   // The registry-level Bell measurement must consume Random identically
   // to the historical CNOT + H + Z/Z sequence.
   sim::Random r1{77};

@@ -10,7 +10,7 @@
 #include "netlayer/flow_plane.hpp"
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
-#include "qstate/backend_registry.hpp"
+#include "qstate/state_store.hpp"
 #include "sim/sharded_engine.hpp"
 
 /// Sharded-run coverage (ISSUE 10): single-shard byte-identity against
