@@ -172,18 +172,17 @@ int main(int argc, char** argv) {
           "[--lease-slack S] [--cap-seconds S] [--backend dense|bell]",
           [&opt](const std::string& arg, auto next) {
             if (arg == "--rows") {
-              opt.rows = std::strtoull(next(), nullptr, 10);
+              opt.rows = next.u64();
             } else if (arg == "--cols") {
-              opt.cols = std::strtoull(next(), nullptr, 10);
+              opt.cols = next.u64();
             } else if (arg == "--pairs") {
-              opt.pairs = static_cast<std::uint16_t>(
-                  std::strtoul(next(), nullptr, 10));
+              opt.pairs = static_cast<std::uint16_t>(next.u64());
             } else if (arg == "--reroutes") {
-              opt.reroutes = std::strtoull(next(), nullptr, 10);
+              opt.reroutes = next.u64();
             } else if (arg == "--lease-slack") {
-              opt.lease_slack = std::strtod(next(), nullptr);
+              opt.lease_slack = next.real();
             } else if (arg == "--cap-seconds") {
-              opt.cap_seconds = std::strtod(next(), nullptr);
+              opt.cap_seconds = next.real();
             } else if (arg == "--backend") {
               const auto kind = qstate::parse_backend_kind(next());
               if (!kind) return false;

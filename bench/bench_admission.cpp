@@ -281,9 +281,9 @@ int main(int argc, char** argv) {
                      opt.scenario == "all";
             }
             if (arg == "--lease-slack") {
-              opt.lease_slack = std::strtod(next(), nullptr);
+              opt.lease_slack = next.real();
             } else if (arg == "--cap-seconds") {
-              opt.cap_seconds = std::strtod(next(), nullptr);
+              opt.cap_seconds = next.real();
             } else if (arg == "--backend") {
               const auto kind = qstate::parse_backend_kind(next());
               if (!kind) return false;

@@ -119,10 +119,9 @@ int main(int argc, char** argv) {
   h.parse(argc, argv, "[--hops N] [--seconds S] [--backend dense|bell|both]",
           [&](const std::string& arg, auto next) {
             if (arg == "--hops") {
-              hops = static_cast<std::size_t>(
-                  std::strtoull(next(), nullptr, 10));
+              hops = static_cast<std::size_t>(next.u64());
             } else if (arg == "--seconds") {
-              seconds = std::strtod(next(), nullptr);
+              seconds = next.real();
             } else if (arg == "--backend") {
               backend = next();
             } else {

@@ -289,18 +289,17 @@ int main(int argc, char** argv) {
             if (arg == "--scenario") {
               opt.scenario = next();
             } else if (arg == "--rows") {
-              opt.rows = std::strtoull(next(), nullptr, 10);
+              opt.rows = next.u64();
             } else if (arg == "--cols") {
-              opt.cols = std::strtoull(next(), nullptr, 10);
+              opt.cols = next.u64();
             } else if (arg == "--requests") {
-              opt.requests = std::strtoull(next(), nullptr, 10);
+              opt.requests = next.u64();
             } else if (arg == "--pairs") {
-              opt.pairs = static_cast<std::uint16_t>(
-                  std::strtoul(next(), nullptr, 10));
+              opt.pairs = static_cast<std::uint16_t>(next.u64());
             } else if (arg == "--seconds") {
-              opt.seconds = std::strtod(next(), nullptr);
+              opt.seconds = next.real();
             } else if (arg == "--cap-seconds") {
-              opt.cap_seconds = std::strtod(next(), nullptr);
+              opt.cap_seconds = next.real();
             } else if (arg == "--backend") {
               const auto kind = qstate::parse_backend_kind(next());
               if (!kind) return false;

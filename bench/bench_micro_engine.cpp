@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   h.parse(argc, argv, "[--min-seconds S]",
           [&opt](const std::string& arg, auto next) {
             if (arg != "--min-seconds") return false;
-            opt.min_seconds = std::strtod(next(), nullptr);
+            opt.min_seconds = next.real();
             return true;
           });
   opt.seed = h.args.seed;

@@ -699,25 +699,25 @@ int main(int argc, char** argv) {
           "[--sharded-requests N]",
           [&opt](const std::string& arg, auto next) {
             if (arg == "--requests") {
-              opt.requests = std::strtoull(next(), nullptr, 10);
+              opt.requests = next.u64();
             } else if (arg == "--groups") {
-              opt.groups = std::strtoull(next(), nullptr, 10);
+              opt.groups = next.u64();
             } else if (arg == "--routers") {
-              opt.routers = std::strtoull(next(), nullptr, 10);
+              opt.routers = next.u64();
             } else if (arg == "--oracle-requests") {
-              opt.oracle_requests = std::strtoull(next(), nullptr, 10);
+              opt.oracle_requests = next.u64();
             } else if (arg == "--oracle-utilization") {
-              opt.oracle_utilization = std::strtod(next(), nullptr);
+              opt.oracle_utilization = next.real();
             } else if (arg == "--utilization") {
-              opt.utilization = std::strtod(next(), nullptr);
+              opt.utilization = next.real();
             } else if (arg == "--cap-seconds") {
-              opt.cap_seconds = std::strtod(next(), nullptr);
+              opt.cap_seconds = next.real();
             } else if (arg == "--tol") {
-              opt.tol = std::strtod(next(), nullptr);
+              opt.tol = next.real();
             } else if (arg == "--shards") {
-              opt.shards = std::strtoull(next(), nullptr, 10);
+              opt.shards = next.u64();
             } else if (arg == "--sharded-requests") {
-              opt.sharded_requests = std::strtoull(next(), nullptr, 10);
+              opt.sharded_requests = next.u64();
             } else {
               return false;
             }

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -54,6 +56,49 @@
 
 namespace qlink::bench {
 
+/// A flag's value in argv: `next()` yields the raw text, `next.u64()`
+/// and `next.real()` parse all of it. A missing or malformed value
+/// calls `usage`, which must not return.
+template <typename Usage>
+class FlagValue {
+ public:
+  FlagValue(int argc, char** argv, int& i, const Usage& usage)
+      : argc_(argc), argv_(argv), i_(i), usage_(usage) {}
+
+  const char* operator()() const {
+    if (i_ + 1 >= argc_) usage_();
+    return argv_[++i_];
+  }
+
+  /// Decimal digits only: no sign, no trailing text, no overflow.
+  std::uint64_t u64() const {
+    const char* text = (*this)();
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+        errno == ERANGE) {
+      usage_();
+    }
+    return value;
+  }
+
+  /// A finite number with no trailing text.
+  double real() const {
+    const char* text = (*this)();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value)) usage_();
+    return value;
+  }
+
+ private:
+  int argc_;
+  char** argv_;
+  int& i_;
+  const Usage& usage_;
+};
+
 /// Shared command-line flags: every machine-readable bench accepts the
 /// same six flags with the same spelling and semantics.
 struct Args {
@@ -72,14 +117,11 @@ struct Args {
   /// i past the value and returns true on success. `usage` must not
   /// return (print help and exit).
   template <typename Usage>
-  bool consume(int argc, char** argv, int& i, Usage&& usage) {
+  bool consume(int argc, char** argv, int& i, const Usage& usage) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
+    const FlagValue next(argc, argv, i, usage);
     if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = next.u64();
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--trace") {
@@ -219,21 +261,18 @@ class Harness {
   Args args;
 
   /// Parse argv: the shared flags, then `flag(arg, next)` for the
-  /// bench's own (`next()` yields the flag's value). A flag `flag`
-  /// rejects prints usage — the bench's `usage` text plus the shared
-  /// flags — and exits 2.
+  /// bench's own (`next` is the flag's FlagValue). A flag `flag`
+  /// rejects, or a value that does not parse, prints usage — the
+  /// bench's `usage` text plus the shared flags — and exits 2.
   template <typename Flag>
   void parse(int argc, char** argv, const char* usage, Flag&& flag) {
     argv0_ = argv[0];
     usage_ = usage;
+    const auto exit_usage = [this] { this->usage(); };
     for (int i = 1; i < argc; ++i) {
-      if (args.consume(argc, argv, i, [this] { this->usage(); })) continue;
+      if (args.consume(argc, argv, i, exit_usage)) continue;
       const std::string arg = argv[i];
-      const auto next = [&]() -> const char* {
-        if (i + 1 >= argc) this->usage();
-        return argv[++i];
-      };
-      if (!flag(arg, next)) this->usage();
+      if (!flag(arg, FlagValue(argc, argv, i, exit_usage))) this->usage();
     }
   }
 
