@@ -1,15 +1,20 @@
 #include "metrics/histogram.hpp"
 
+#include <algorithm>
+
 namespace qlink::metrics {
 
 double Histogram::percentile(double pct) const {
   if (count_ == 0) return 0.0;
+  // Interpolating inside a partly filled bin can overshoot the samples
+  // actually seen; the exact extremes bound every estimate.
+  const auto observed = [this](double v) { return std::clamp(v, min_, max_); };
   const double clamped = pct < 0.0 ? 0.0 : (pct > 100.0 ? 100.0 : pct);
   // Target rank in [1, count]: the smallest cumulative count covering
   // pct of the samples.
   const double target = clamped / 100.0 * static_cast<double>(count_);
   double cum = static_cast<double>(underflow_);
-  if (target <= cum) return kMinValue;
+  if (target <= cum) return observed(kMinValue);
   for (int i = 0; i < kBins; ++i) {
     const double in_bin = static_cast<double>(bins_[static_cast<std::size_t>(i)]);
     if (in_bin == 0.0) continue;
@@ -17,11 +22,11 @@ double Histogram::percentile(double pct) const {
       const double frac = (target - cum) / in_bin;
       const double lo = bin_lower(i);
       const double hi = bin_lower(i + 1);
-      return lo + frac * (hi - lo);
+      return observed(lo + frac * (hi - lo));
     }
     cum += in_bin;
   }
-  return kMaxValue;  // landed in the overflow bin
+  return observed(kMaxValue);  // landed in the overflow bin
 }
 
 Histogram& Histogram::operator+=(const Histogram& other) {

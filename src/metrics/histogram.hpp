@@ -73,7 +73,7 @@ class Histogram {
   /// Percentile (0..100) estimate: walk the cumulative counts to the
   /// target rank and interpolate linearly inside the landing bin.
   /// Returns 0 when empty; the underflow/overflow bins clamp to the
-  /// layout's range edges.
+  /// layout's range edges, and every estimate to [min(), max()].
   double percentile(double pct) const;
   double p50() const { return percentile(50.0); }
   double p90() const { return percentile(90.0); }

@@ -266,6 +266,18 @@ TEST(Histogram, ExactExtremesSurviveBinClamping) {
   EXPECT_DOUBLE_EQ(delta.max(), 5e3);
 }
 
+TEST(Histogram, PercentilesStayInsideObservedExtremes) {
+  // 0.702 sits near the bottom of its ~7%-wide bin and 0.745 near the
+  // top, so interpolating inside the partly filled bin overshoots max()
+  // on the first and undershoots min() on the second.
+  for (const double x : {0.702, 0.745}) {
+    Histogram h;
+    for (int i = 0; i < 100; ++i) h.record(x);
+    EXPECT_LE(h.p99(), h.max()) << x;
+    EXPECT_GE(h.p50(), h.min()) << x;
+  }
+}
+
 TEST(Histogram, MergeTakesElementwiseExtremes) {
   Histogram a, b;
   a.record(0.3);
