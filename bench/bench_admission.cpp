@@ -10,14 +10,14 @@
 // windows have opened. On the first corridor a long "newcomer"
 // arrives between the two lease ends, wanting edge a only.
 //
-//  pr4    defer_admission = batch_admission = false: the waiter parks
+//  pr4    scheduled_admission = false: the waiter parks
 //         blind in the blocked queue. When edge a's lease lapses the
 //         waiter still cannot start (b is busy), so a sits free until
 //         the newcomer snatches it for a long window — a queue jump
 //         ("steal") that pushes the waiter's admission past the
 //         newcomer's whole lease, while edge b sits idle: the
 //         coordination loss of blind queueing.
-//  sched  defer_admission = batch_admission = true: the waiter books
+//  sched  scheduled_admission = true: the waiter books
 //         the earliest window in which a AND b are both free
 //         (ReservationTable::earliest_window) the moment it fails to
 //         admit. The newcomer's instant window would overlap that
@@ -141,8 +141,7 @@ Row run_mode(Harness& h, const Options& opt, const char* scenario,
   rc.cost = routing::CostModel::kHopCount;
   rc.k_candidates = 1;  // corridors are pinned; keep admission exact
   rc.lease_slack = opt.lease_slack;
-  rc.defer_admission = scheduler;
-  rc.batch_admission = scheduler;
+  rc.scheduled_admission = scheduler;
   routing::Router router(graph, *swap, rc, &collector);
   const double menu[] = {0.7};
   router.annotate_from_network(menu);

@@ -17,17 +17,11 @@ DistributedQueue::DistributedQueue(sim::Simulator& simulator, std::string name,
     : Entity(simulator, std::move(name)),
       config_(config),
       link_(link),
-      endpoint_(endpoint) {
-  if (config_.num_queues < 1 || config_.num_queues > 16) {
-    throw std::invalid_argument("DistributedQueue: 1..16 queues supported");
-  }
-  queues_.resize(static_cast<std::size_t>(config_.num_queues));
-  next_qseq_.assign(static_cast<std::size_t>(config_.num_queues), 0);
-  retransmit_timeout_ =
-      config_.retransmit_timeout > 0
-          ? config_.retransmit_timeout
-          : 4 * link_.delay() + sim::duration::microseconds(50);
-}
+      endpoint_(endpoint),
+      retransmit_timeout_(4 * link_.delay() +
+                          sim::duration::microseconds(50)),
+      queues_(kNumQueues),
+      next_qseq_(kNumQueues, 0) {}
 
 std::size_t DistributedQueue::total_size() const {
   std::size_t n = 0;
@@ -46,7 +40,7 @@ void DistributedQueue::send(const DqpPacket& packet) {
 }
 
 void DistributedQueue::submit(DqpPacket request) {
-  if (request.aid.qid >= config_.num_queues) {
+  if (request.aid.qid >= kNumQueues) {
     throw std::invalid_argument("DistributedQueue::submit: bad queue id");
   }
   request.master_request = config_.is_master;
@@ -101,7 +95,7 @@ void DistributedQueue::on_timeout(std::uint32_t cseq) {
   auto it = pending_.find(cseq);
   if (it == pending_.end()) return;
   PendingLocal& p = it->second;
-  if (p.retries >= config_.max_retries) {
+  if (p.retries >= kMaxRetries) {
     const DqpPacket request = p.request;
     pending_.erase(it);
     if (config_.is_master) remove(request.aid);
@@ -150,7 +144,7 @@ void DistributedQueue::handle_add(const DqpPacket& packet) {
       return;
     }
     const bool accept = (!policy_ || policy_(packet)) &&
-                        packet.aid.qid < config_.num_queues &&
+                        packet.aid.qid < kNumQueues &&
                         !queue_full(packet.aid.qid);
     if (!accept) {
       reply.frame_type = DqpFrameType::kRej;
@@ -177,7 +171,7 @@ void DistributedQueue::handle_add(const DqpPacket& packet) {
     return;
   }
   const bool accept = (!policy_ || policy_(packet)) &&
-                      packet.aid.qid < config_.num_queues &&
+                      packet.aid.qid < kNumQueues &&
                       !queue_full(packet.aid.qid);
   if (!accept) {
     reply.frame_type = DqpFrameType::kRej;
@@ -233,13 +227,13 @@ void DistributedQueue::handle_rej(const DqpPacket& packet) {
 }
 
 void DistributedQueue::remove(const AbsoluteQueueId& aid) {
-  if (aid.qid >= config_.num_queues) return;
+  if (aid.qid >= kNumQueues) return;
   queues_.at(aid.qid).erase(aid.qseq);
 }
 
 const DistributedQueue::Item* DistributedQueue::find(
     const AbsoluteQueueId& aid) const {
-  if (aid.qid >= config_.num_queues) return nullptr;
+  if (aid.qid >= kNumQueues) return nullptr;
   const auto& q = queues_.at(aid.qid);
   const auto it = q.find(aid.qseq);
   return it == q.end() ? nullptr : &it->second;

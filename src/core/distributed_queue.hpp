@@ -28,13 +28,15 @@ namespace qlink::core {
 
 class DistributedQueue : public sim::Entity {
  public:
+  /// One queue per request priority (NL, CK, MD).
+  static constexpr int kNumQueues = 3;
+  /// ADD retransmissions before a local add fails with NOTIME.
+  static constexpr int kMaxRetries = 10;
+
   struct Config {
     bool is_master = false;
-    int num_queues = 3;
     std::size_t max_items_per_queue = 256;
-    int window = 32;                     // outstanding un-ACKed local adds
-    sim::SimTime retransmit_timeout = 0;  // 0 = auto (4x delay + 1 cycle)
-    int max_retries = 10;
+    int window = 32;  // outstanding un-ACKed local adds
   };
 
   /// Result of a local submit: the assigned id on success.
@@ -110,6 +112,7 @@ class DistributedQueue : public sim::Entity {
   Config config_;
   net::ClassicalChannel& link_;
   int endpoint_;
+  /// 4x the channel delay plus one cycle.
   sim::SimTime retransmit_timeout_;
 
   std::vector<std::map<std::uint32_t, Item>> queues_;

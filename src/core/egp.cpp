@@ -18,6 +18,13 @@ using quantum::gates::Basis;
 
 namespace {
 
+/// Shared seed for the pre-agreed random strings of Appendix B (basis
+/// choices and test positions); the same at both nodes.
+constexpr std::uint64_t kSharedSeed = 0x51ab1e5eedULL;
+/// EXPIRE retransmission period and retry budget.
+constexpr sim::SimTime kExpireRetransmit = sim::duration::milliseconds(1);
+constexpr int kExpireMaxRetries = 10;
+
 /// splitmix64: deterministic hash used for the pre-agreed random strings.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -43,10 +50,7 @@ Egp::Egp(sim::Simulator& simulator, std::string name, const EgpConfig& config,
       feu_(model, scenario),
       scheduler_(config.scheduler),
       queue_(simulator, this->name() + "/dqp",
-             DistributedQueue::Config{
-                 config.is_master, config.num_queues, config.max_queue_size,
-                 config.dqp_window, /*retransmit_timeout=*/0,
-                 config.dqp_max_retries},
+             DistributedQueue::Config{.is_master = config.is_master},
              peer_link, peer_endpoint) {
   peer_link_.set_receiver(peer_endpoint_, [this](std::vector<std::uint8_t> b) {
     on_peer_frame(std::move(b));
@@ -214,7 +218,7 @@ void Egp::on_remote_add(const DqpPacket& pkt) {
 
 double Egp::shared_unit(const AbsoluteQueueId& aid, std::uint64_t key,
                         std::uint32_t salt) const {
-  std::uint64_t h = config_.shared_seed;
+  std::uint64_t h = kSharedSeed;
   h = mix64(h ^ aid.qid);
   h = mix64(h ^ aid.qseq);
   h = mix64(h ^ key);
@@ -587,7 +591,7 @@ void Egp::send_expire(ExpirePacket pkt) {
   peer_link_.send_from(peer_endpoint_,
                        net::seal(PacketType::kExpire, pkt.encode()));
   PendingExpire pending{pkt, 0, 0};
-  pending.timer = schedule_in(config_.expire_retransmit,
+  pending.timer = schedule_in(kExpireRetransmit,
                               [this, key] { retransmit_expire(key); },
                               "egp.expire_retransmit");
   pending_expires_[key] = pending;
@@ -597,14 +601,14 @@ void Egp::retransmit_expire(std::uint64_t key) {
   auto it = pending_expires_.find(key);
   if (it == pending_expires_.end()) return;
   PendingExpire& p = it->second;
-  if (p.retries >= config_.expire_max_retries) {
+  if (p.retries >= kExpireMaxRetries) {
     pending_expires_.erase(it);
     return;
   }
   ++p.retries;
   peer_link_.send_from(peer_endpoint_,
                        net::seal(PacketType::kExpire, p.pkt.encode()));
-  p.timer = schedule_in(config_.expire_retransmit,
+  p.timer = schedule_in(kExpireRetransmit,
                         [this, key] { retransmit_expire(key); },
                         "egp.expire_retransmit");
 }

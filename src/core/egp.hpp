@@ -33,16 +33,9 @@ struct EgpConfig {
   bool is_master = false;
 
   SchedulerConfig scheduler;
-  int num_queues = 3;
-  std::size_t max_queue_size = 256;
-  int dqp_window = 32;
-  int dqp_max_retries = 10;
 
   /// Probability of replacing a K-type attempt by a test round (App. B).
   double test_round_probability = 0.0;
-  /// Shared seed for the pre-agreed random strings of Appendix B (basis
-  /// choices and test positions); must match at both nodes.
-  std::uint64_t shared_seed = 0x51ab1e5eedULL;
 
   /// Allow M-type attempts in consecutive cycles before the previous
   /// REPLY arrives (Section 5.1.1, "emission multiplexing").
@@ -52,9 +45,6 @@ struct EgpConfig {
   /// request, expire it locally and notify the peer (recovery from
   /// state divergence, Section 5.2.5).
   int one_sided_error_threshold = 64;
-
-  sim::SimTime expire_retransmit = sim::duration::milliseconds(1);
-  int expire_max_retries = 10;
 
   /// Period of memory advertisements (REQ(E), Fig. 34); 0 disables flow
   /// control (the peer is then assumed to always have room).

@@ -92,7 +92,6 @@ void Link::wire() {
     c.peer_node_id = peer;
     c.is_master = master;
     c.scheduler = config_.scheduler;
-    c.max_queue_size = config_.max_queue_size;
     c.test_round_probability = config_.test_round_probability;
     c.mem_advert_interval = config_.mem_advert_interval;
     c.emission_multiplexing = config_.emission_multiplexing;

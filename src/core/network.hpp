@@ -42,7 +42,6 @@ struct LinkConfig {
   SchedulerConfig scheduler;
   double test_round_probability = 0.0;
   sim::SimTime mem_advert_interval = 0;
-  std::size_t max_queue_size = 256;
   bool emission_multiplexing = true;
   /// Consecutive one-sided midpoint errors before a request is expired
   /// (see EgpConfig::one_sided_error_threshold).

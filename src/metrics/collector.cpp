@@ -67,7 +67,6 @@ void Collector::record_ok(const OkMessage& ok, Priority kind, sim::SimTime t,
     km.fidelity.add(*fidelity);
     om.fidelity.add(*fidelity);
     fidelity_hist_.record(*fidelity);
-    fidelity_res_.add(*fidelity);
   }
 
   const auto it = open_.find({ok.origin_node, ok.create_id});
@@ -288,7 +287,6 @@ void Collector::merge(const Collector& other) {
                   other.slowest_.end());
   sort_and_trim_slowest(slowest_);
   request_latency_res_.merge(other.request_latency_res_);
-  fidelity_res_.merge(other.fidelity_res_);
   queue_length_.merge(other.queue_length_);
   route_length_.merge(other.route_length_);
   admission_wait_s_.merge(other.admission_wait_s_);

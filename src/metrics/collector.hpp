@@ -198,15 +198,13 @@ class Collector {
   const Histogram& fidelity_hist() const { return fidelity_hist_; }
 
   // -- Exact-sample quantiles (ISSUE 7) -----------------------------------
-  // Deterministic seeded reservoirs over the same request-latency /
-  // fidelity streams: O(capacity) memory at million-request scale, exact
-  // sample values where the Histogram has ~7% bin width. Their private
-  // RNG never touches the simulation's, so recording cannot perturb a
-  // seeded trajectory.
+  // A deterministic seeded reservoir over the request-latency stream:
+  // O(capacity) memory at million-request scale, exact sample values
+  // where the Histogram has ~7% bin width. Its private RNG never touches
+  // the simulation's, so recording cannot perturb a seeded trajectory.
   const Reservoir& request_latency_reservoir() const {
     return request_latency_res_;
   }
-  const Reservoir& fidelity_reservoir() const { return fidelity_res_; }
 
   // -- Latency phase decomposition (ISSUE 8) ------------------------------
   // "Why was p99 slow": per-phase Histograms over the same control
@@ -265,7 +263,7 @@ class Collector {
   /// Shard merge (ISSUE 7): fold another collector's records in, as if
   /// both streams had been recorded here. Histograms and counters merge
   /// exactly and commutatively; RunningStats via parallel Welford (~1e-12
-  /// relative reassociation error); reservoirs via Reservoir::merge
+  /// relative reassociation error); the reservoir via Reservoir::merge
   /// (order-sensitive byte-wise when overflowing — see reservoir.hpp);
   /// open_ entries union — when the same (origin, create_id) key is
   /// open in both shards, the entry with the earlier `created` wins
@@ -321,10 +319,8 @@ class Collector {
   std::array<Histogram, kNumPhases> phase_hists_{};
   /// Sorted (total_s desc, origin asc, id asc), <= kSlowestCapacity.
   std::vector<SlowRequest> slowest_;
-  // Distinct fixed seeds: deterministic per construction, independent
-  // streams per metric.
+  // Fixed seed: deterministic per construction.
   Reservoir request_latency_res_{1024, 0x716c4c61747265ULL};
-  Reservoir fidelity_res_{1024, 0x716c4669646c74ULL};
   RunningStat queue_length_;
   RunningStat route_length_;
   RunningStat admission_wait_s_;

@@ -78,17 +78,12 @@ FlowPlane::FlowPlane(FlowPlaneConfig config)
       edges_(std::move(config.edges)),
       num_nodes_(config.num_nodes),
       calibration_(std::move(config.calibration)),
-      calibrations_(std::move(config.calibrations)),
       recorder_(config.collector) {
   if (shard_ >= engine_->num_shards()) {
     throw std::invalid_argument("FlowPlane: shard out of range");
   }
   if (edges_.empty()) {
     throw std::invalid_argument("FlowPlane: no links");
-  }
-  if (!calibrations_.empty() && calibrations_.size() != edges_.size()) {
-    throw std::invalid_argument(
-        "FlowPlane: per-link calibrations must cover every link");
   }
   std::uint32_t max_id = 0;
   for (const auto& [a, b] : edges_) {
@@ -104,9 +99,10 @@ FlowPlane::FlowPlane(FlowPlaneConfig config)
 
 core::Link::RateEstimate FlowPlane::estimate_link(std::size_t link,
                                                   double floor) {
+  (void)link;  // homogeneous hardware: every link shares one menu
   core::Link::RateEstimate est;
   constexpr double kTol = 1e-9;
-  for (const FlowCalibration::Entry& e : calibration(link).menu) {
+  for (const FlowCalibration::Entry& e : calibration_.menu) {
     if (std::abs(e.floor - floor) <= kTol) {
       est.feasible = e.feasible;
       est.fidelity = e.fidelity;
@@ -182,8 +178,8 @@ std::uint32_t FlowPlane::submit(const E2eRequest& request,
     const double floor = !hop_floors.empty() && hop_floors[h] > 0.0
                              ? hop_floors[h]
                              : request.effective_link_floor();
-    points[h] = calibration(route[h].link).lookup(floor);
-    corr_delay_s += calibration(route[h].link).delay_s;
+    points[h] = calibration_.lookup(floor);
+    corr_delay_s += calibration_.delay_s;
     if (points[h] == nullptr) {
       const std::size_t link = route[h].link;
       simulator().schedule_in(

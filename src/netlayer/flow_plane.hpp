@@ -81,12 +81,8 @@ struct FlowPlaneConfig {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   /// 0 infers max listed id + 1.
   std::size_t num_nodes = 0;
-  /// Operating menu shared by every link (homogeneous hardware). Use
-  /// `calibrations` instead for heterogeneous networks.
+  /// Operating menu shared by every link (homogeneous hardware).
   FlowCalibration calibration;
-  /// Per-link calibrations (heterogeneous); empty = use `calibration`
-  /// for every link.
-  std::vector<FlowCalibration> calibrations;
   /// Recorded through the same PlaneRecorder as SwapService: create
   /// (or resubmit) at admission, one OK (+ phase decomposition) per
   /// delivered pair, an error per failed request. Optional.
@@ -139,7 +135,8 @@ class FlowPlane : public EntanglementPlane {
   core::Link::RateEstimate estimate_link(std::size_t link,
                                          double floor) override;
   double link_delay_s(std::size_t link) const override {
-    return calibration(link).delay_s;
+    (void)link;
+    return calibration_.delay_s;
   }
   core::Link::TestRoundEstimate measured_estimate(
       std::size_t link) const override {
@@ -156,9 +153,6 @@ class FlowPlane : public EntanglementPlane {
   void run_until(sim::SimTime t) { engine_->run_until(t); }
 
   const Stats& stats() const noexcept { return stats_; }
-  const FlowCalibration& calibration(std::size_t link) const {
-    return calibrations_.empty() ? calibration_ : calibrations_.at(link);
-  }
 
  private:
   /// Sampled wall time for one pair on `link` at operating point
@@ -174,7 +168,6 @@ class FlowPlane : public EntanglementPlane {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
   std::size_t num_nodes_ = 0;
   FlowCalibration calibration_;
-  std::vector<FlowCalibration> calibrations_;
   /// When each link finishes its last accepted generation job (FIFO
   /// service) — the only per-link mutable state.
   std::vector<sim::SimTime> next_free_;

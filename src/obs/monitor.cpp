@@ -1,41 +1,19 @@
 #include "obs/monitor.hpp"
 
 #include <algorithm>
-#include <cinttypes>
+#include <stdexcept>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "routing/router.hpp"
 #include "sim/simulator.hpp"
 
 namespace qlink::obs {
 
+using json::append_field;
+using json::append_num;
+
 namespace {
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_num(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_field(std::string& out, const char* key, double v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
-
-void append_field(std::string& out, const char* key, std::uint64_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
 
 /// Per-interval histogram delta: just the two fields a live reader
 /// needs (the full distribution stays in the end-of-run Snapshot).
@@ -63,7 +41,10 @@ Monitor::Monitor(const sim::Simulator& simulator,
                  const metrics::Collector& collector, MonitorConfig config)
     : sim_(simulator), collector_(collector), config_(std::move(config)) {
   if (config_.interval <= 0) {
-    config_.interval = sim::duration::milliseconds(100);
+    throw std::invalid_argument("Monitor: interval must be positive");
+  }
+  if (config_.stall_consecutive == 0) {
+    throw std::invalid_argument("Monitor: stall_consecutive must be >= 1");
   }
   start_t_ = sim_.now();
   last_t_ = start_t_;

@@ -76,15 +76,17 @@ struct MonitorConfig {
   /// (trace 0); null = no trace mirroring.
   Tracer* tracer = nullptr;
   /// Consecutive starved intervals (zero deliveries, backlog > 0)
-  /// before the watchdog flags — the health-check debounce. 1 flags
-  /// immediately (deterministic corridor runs, unit tests); contended
-  /// random-traffic runs set it higher so one statistically quiet
-  /// interval is not a stall.
+  /// before the watchdog flags — the health-check debounce (>= 1).
+  /// 1 flags immediately (deterministic corridor runs, unit tests);
+  /// contended random-traffic runs set it higher so one statistically
+  /// quiet interval is not a stall.
   std::uint64_t stall_consecutive = 1;
 };
 
 class Monitor {
  public:
+  /// Throws std::invalid_argument when config.interval <= 0 or
+  /// config.stall_consecutive == 0.
   Monitor(const sim::Simulator& simulator,
           const metrics::Collector& collector, MonitorConfig config = {});
 

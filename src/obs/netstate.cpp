@@ -1,51 +1,23 @@
 #include "obs/netstate.hpp"
 
 #include <algorithm>
-#include <cinttypes>
+#include <stdexcept>
 
 #include "metrics/collector.hpp"
+#include "obs/json.hpp"
 #include "routing/graph.hpp"
 #include "sim/simulator.hpp"
 
 namespace qlink::obs {
 
-namespace {
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_num(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_field(std::string& out, const char* key, double v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
-
-void append_field(std::string& out, const char* key, std::uint64_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
-
-}  // namespace
+using json::append_field;
 
 NetState::NetState(const sim::Simulator& simulator,
                    const metrics::EdgeStats& stats, NetStateConfig config)
     : sim_(simulator), stats_(stats), config_(std::move(config)) {
   if (config_.interval <= 0) {
-    config_.interval = sim::duration::milliseconds(100);
+    throw std::invalid_argument("NetState: interval must be positive");
   }
-  if (config_.top_k == 0) config_.top_k = 8;
   start_t_ = sim_.now();
   last_t_ = start_t_;
   prev_ = sample(start_t_);
@@ -122,7 +94,7 @@ void NetState::emit(sim::SimTime t) {
               if (a.util != b.util) return a.util > b.util;
               return a.edge < b.edge;
             });
-  if (active.size() > config_.top_k) active.resize(config_.top_k);
+  if (active.size() > kTopK) active.resize(kTopK);
 
   std::string& out = jsonl_;
   out += '{';
@@ -260,7 +232,7 @@ void NetState::finish() {
 
   const metrics::SpaceSaving& sketch = stats_.hot_edges();
   out += "],\"hot_edges\":[";
-  const auto top = sketch.top(config_.top_k);
+  const auto top = sketch.top(kTopK);
   for (std::size_t i = 0; i < top.size(); ++i) {
     if (i > 0) out += ',';
     out += '{';

@@ -57,13 +57,15 @@ struct NetStateConfig {
   /// several runs share one JSONL file (stream_check.py validates
   /// each label group independently).
   std::string run;
-  /// Hot-edge list length in interval records and in the final
-  /// sketch-backed ranking.
-  std::size_t top_k = 8;
 };
 
 class NetState {
  public:
+  /// Hot-edge list length in interval records and in the final
+  /// sketch-backed ranking.
+  static constexpr std::size_t kTopK = 8;
+
+  /// Throws std::invalid_argument when config.interval <= 0.
   NetState(const sim::Simulator& simulator, const metrics::EdgeStats& stats,
            NetStateConfig config = {});
 

@@ -14,6 +14,9 @@ namespace qlink::obs {
 
 namespace {
 
+/// Rows in each of the hot-edge and slowest-requests tables.
+constexpr std::size_t kTableRows = 8;
+
 std::string fmt_u64(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
@@ -47,14 +50,14 @@ std::string render_run_report(const sim::Simulator& simulator,
                               const metrics::EdgeStats& stats,
                               const metrics::Collector& collector,
                               const routing::Graph* graph,
-                              const RunReportOptions& options) {
+                              const std::string& title) {
   const sim::SimTime now = simulator.now();
   const double elapsed_s = sim::to_seconds(now);
 
   std::string out;
-  if (!options.title.empty()) {
+  if (!title.empty()) {
     out += "### ";
-    out += options.title;
+    out += title;
     out += "\n\n";
   }
 
@@ -92,7 +95,7 @@ std::string render_run_report(const sim::Simulator& simulator,
     if (a.util != b.util) return a.util > b.util;
     return a.edge < b.edge;
   });
-  if (rows.size() > options.top_k) rows.resize(options.top_k);
+  if (rows.size() > kTableRows) rows.resize(kTableRows);
 
   out += "**Hot edges** (by lease utilization)\n\n";
   out += "| edge | link | util | leases | blocked | attempts | deliveries "
@@ -161,7 +164,7 @@ std::string render_run_report(const sim::Simulator& simulator,
     out += " |\n|---|---|---";
     for (std::size_t p = 0; p < metrics::kNumPhases; ++p) out += "|---";
     out += "|\n";
-    const std::size_t n = std::min(options.slowest, slowest.size());
+    const std::size_t n = std::min(kTableRows, slowest.size());
     for (std::size_t i = 0; i < n; ++i) {
       const metrics::Collector::SlowRequest& s = slowest[i];
       out += "| " + fmt_u64(s.origin) + " | " + fmt_u64(s.id) + " | " +

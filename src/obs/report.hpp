@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 /// \file report.hpp
@@ -31,21 +30,14 @@ class Simulator;
 
 namespace qlink::obs {
 
-struct RunReportOptions {
-  /// Section heading ("### <title>"); empty = no heading.
-  std::string title;
-  /// Rows in the hot-edge table.
-  std::size_t top_k = 8;
-  /// Rows in the slowest-requests table.
-  std::size_t slowest = 8;
-};
-
 /// Render one run's Markdown section from live observability state.
 /// `graph` (optional) names edge endpoints; null leaves ids only.
+/// `title` is the section heading ("### <title>"); empty = no heading.
+/// The hot-edge and slowest-request tables hold up to 8 rows each.
 std::string render_run_report(const sim::Simulator& simulator,
                               const metrics::EdgeStats& stats,
                               const metrics::Collector& collector,
                               const routing::Graph* graph,
-                              const RunReportOptions& options = {});
+                              const std::string& title = {});
 
 }  // namespace qlink::obs

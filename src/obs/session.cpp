@@ -70,11 +70,9 @@ const std::string& Session::netstate_jsonl() const noexcept {
   return netstate_->jsonl();
 }
 
-std::string Session::report(std::string title) const {
-  RunReportOptions options;
-  options.title = std::move(title);
+std::string Session::report(const std::string& title) const {
   return render_run_report(router_->plane().simulator(), *edge_stats_,
-                           collector_, &router_->graph(), options);
+                           collector_, &router_->graph(), title);
 }
 
 std::string Session::snapshot_json() const {

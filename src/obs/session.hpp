@@ -73,7 +73,7 @@ class Session {
   const std::string& monitor_jsonl() const noexcept;
   const std::string& netstate_jsonl() const noexcept;
   /// The run's Markdown report section (obs::render_run_report).
-  std::string report(std::string title) const;
+  std::string report(const std::string& title) const;
   /// The merged obs::Snapshot JSON: Collector, Router and engine, plus
   /// SwapService and quantum-backend counters on the full-detail plane.
   std::string snapshot_json() const;

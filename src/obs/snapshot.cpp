@@ -1,39 +1,10 @@
 #include "obs/snapshot.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "obs/json.hpp"
 
 namespace qlink::obs {
 
-namespace {
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_num(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_field(std::string& out, const char* key, double v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
-
-void append_field(std::string& out, const char* key, std::uint64_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
-
-}  // namespace
+using json::append_field;
 
 std::string histogram_json(const metrics::Histogram& h) {
   std::string out = "{";

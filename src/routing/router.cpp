@@ -52,7 +52,7 @@ Router::Router(Graph graph, netlayer::EntanglementPlane& plane,
   if (config_.k_candidates == 0) {
     throw std::invalid_argument("Router: k_candidates must be positive");
   }
-  reservations_.set_drain_policy(config_.batch_admission
+  reservations_.set_drain_policy(config_.scheduled_admission
                                      ? DrainPolicy::kPerEdgeFifo
                                      : DrainPolicy::kGreedy);
   plane_.set_deliver_handler(
@@ -127,7 +127,7 @@ void Router::refresh_annotations(const RefreshOptions& options) {
         weight * *measured.fidelity + (1.0 - weight) * params.fidelity;
   }
   // Fidelity-recovery signal for exclusion decay: an edge whose blended
-  // estimate rose by >= recovery_min_gain since the previous refresh is
+  // estimate rose by >= kRecoveryMinGain since the previous refresh is
   // stamped recovered — exclusion entries older than the stamp are
   // dropped at the next re-route (prune_exclusions).
   if (recovered_at_.empty()) recovered_at_.resize(graph_.num_edges(), 0);
@@ -136,7 +136,7 @@ void Router::refresh_annotations(const RefreshOptions& options) {
   for (std::size_t i = 0; i < graph_.num_edges(); ++i) {
     const double fidelity = graph_.params(i).fidelity;
     if (have_prev &&
-        fidelity >= prev_refresh_fidelity_[i] + config_.recovery_min_gain) {
+        fidelity >= prev_refresh_fidelity_[i] + kRecoveryMinGain) {
       recovered_at_[i] = now;
     }
     prev_refresh_fidelity_[i] = fidelity;
@@ -183,42 +183,8 @@ std::uint32_t Router::try_admit(FlightState& flight) {
     const auto ticket = reservations_.try_reserve(
         path.edges, now, lease_duration(path, flight.request));
     if (!ticket) continue;
-    std::uint32_t id = 0;
-    try {
-      id = plane_.submit(flight.request, to_hops(path), hop_floors(path));
-    } catch (...) {
-      // A malformed pinned path (submit_on checks only the endpoints)
-      // must not leak its reservation and wedge the edges forever.
-      reservations_.release(*ticket, now);
-      throw;
-    }
     flight.ticket = *ticket;
-    ++stats_.admitted;
-    // Count the reroute only here, where the resubmission actually
-    // reached the SwapService (record_resubmit fired inside request),
-    // so Stats::rerouted and Collector::reroutes always agree.
-    if (flight.request.resubmission_of != 0) ++stats_.rerouted;
-    if (flight.request.resubmission_of == 0 &&
-        flight.request.submitted_at >= 0) {
-      // Admission wait covers submit -> first admission (0 for an
-      // instant admit, the queueing time for a drained one);
-      // resubmissions keep their original latency accounting instead.
-      const double wait_s =
-          sim::to_seconds(now - flight.request.submitted_at);
-      if (collector_) {
-        collector_->record_admission_wait(wait_s, flight.request.src, id);
-      }
-      if (edge_stats_) edge_stats_->on_admission_wait(path.edges, wait_s);
-    }
-    if (collector_) collector_->record_route(path.hops());
-    if (tracer_ && flight.request.resubmission_of == 0 &&
-        flight.request.submitted_at >= 0 &&
-        now > flight.request.submitted_at) {
-      tracer_->complete(flight.request.trace_id, "router", "admission_wait",
-                        flight.request.submitted_at, now);
-    }
-    in_flight_.emplace(id, std::move(flight));
-    schedule_expiry_wakeup();
+    const std::uint32_t id = admit(flight, path);
     sync_contention_metrics();
     return id;
   }
@@ -226,8 +192,54 @@ std::uint32_t Router::try_admit(FlightState& flight) {
   return 0;
 }
 
+std::uint32_t Router::admit(FlightState& flight, const Path& path) {
+  const sim::SimTime now = sim_.now();
+  std::uint32_t id = 0;
+  try {
+    id = plane_.submit(flight.request, to_hops(path), hop_floors(path));
+  } catch (...) {
+    // A malformed pinned path (submit_on checks only the endpoints)
+    // must not leak its reservation and wedge the edges forever.
+    reservations_.release(flight.ticket, now);
+    throw;
+  }
+  ++stats_.admitted;
+  // Count the reroute only here, where the resubmission actually
+  // reached the plane (record_resubmit fired inside submit), so
+  // Stats::rerouted and Collector::reroutes always agree.
+  if (flight.request.resubmission_of != 0) ++stats_.rerouted;
+  const bool first = flight.request.resubmission_of == 0 &&
+                     flight.request.submitted_at >= 0;
+  if (first) {
+    // Admission wait covers submit -> first admission (0 for an
+    // instant admit, the queueing or booked time otherwise);
+    // resubmissions keep their original latency accounting instead.
+    const double wait_s = sim::to_seconds(now - flight.request.submitted_at);
+    if (collector_) {
+      collector_->record_admission_wait(wait_s, flight.request.src, id);
+    }
+    if (edge_stats_) edge_stats_->on_admission_wait(path.edges, wait_s);
+  }
+  if (collector_) {
+    collector_->record_route(path.hops());
+    if (flight.booked_wait_s > 0.0) {
+      collector_->attribute_deferral(flight.request.src, id,
+                                     flight.booked_wait_s);
+    }
+  }
+  // Attributed; a later re-route that defers again must not re-count it.
+  flight.booked_wait_s = 0.0;
+  if (tracer_ && first && now > flight.request.submitted_at) {
+    tracer_->complete(flight.request.trace_id, "router", "admission_wait",
+                      flight.request.submitted_at, now);
+  }
+  in_flight_.emplace(id, std::move(flight));
+  schedule_expiry_wakeup();
+  return id;
+}
+
 bool Router::try_defer(FlightState& flight) {
-  if (!config_.defer_admission) return false;
+  if (!config_.scheduled_admission) return false;
   const sim::SimTime now = sim_.now();
   // Book the candidate whose window opens first; ties keep candidate
   // (cost) order.
@@ -252,8 +264,8 @@ bool Router::try_defer(FlightState& flight) {
   flight.ticket = *ticket;
   ++stats_.deferred;
   stats_.deferred_wait_total += best_start - now;
-  // The SwapService id does not exist yet; remember the booked wait so
-  // submit_deferred can attribute it to the request's deferral phase.
+  // The plane's request id does not exist yet; remember the booked wait
+  // so admit can attribute it to the request's deferral phase.
   flight.booked_wait_s += sim::to_seconds(best_start - now);
   if (collector_) {
     collector_->record_deferral(sim::to_seconds(best_start - now));
@@ -274,48 +286,12 @@ bool Router::try_defer(FlightState& flight) {
       best_start,
       [this, id_holder, flight = std::move(flight), path = *best]() mutable {
         deferred_events_.erase(*id_holder);
-        submit_deferred(std::move(flight), path);
+        admit(flight, path);
       },
       "router.deferred");
   *id_holder = id;
   deferred_events_.insert(id);
   return true;
-}
-
-void Router::submit_deferred(FlightState flight, const Path& path) {
-  std::uint32_t id = 0;
-  try {
-    id = plane_.submit(flight.request, to_hops(path), hop_floors(path));
-  } catch (...) {
-    reservations_.release(flight.ticket, sim_.now());
-    throw;
-  }
-  ++stats_.admitted;
-  if (flight.request.resubmission_of != 0) ++stats_.rerouted;
-  if (flight.request.resubmission_of == 0 &&
-      flight.request.submitted_at >= 0) {
-    const double wait_s = sim::to_seconds(sim_.now() -
-                                          flight.request.submitted_at);
-    if (collector_) {
-      collector_->record_admission_wait(wait_s, flight.request.src, id);
-    }
-    if (edge_stats_) edge_stats_->on_admission_wait(path.edges, wait_s);
-  }
-  if (collector_) {
-    collector_->record_route(path.hops());
-    collector_->attribute_deferral(flight.request.src, id,
-                                   flight.booked_wait_s);
-  }
-  // Attributed; a later re-route that defers again must not re-count it.
-  flight.booked_wait_s = 0.0;
-  if (tracer_ && flight.request.resubmission_of == 0 &&
-      flight.request.submitted_at >= 0 &&
-      sim_.now() > flight.request.submitted_at) {
-    tracer_->complete(flight.request.trace_id, "router", "admission_wait",
-                      flight.request.submitted_at, sim_.now());
-  }
-  in_flight_.emplace(id, std::move(flight));
-  schedule_expiry_wakeup();
 }
 
 std::vector<Path> Router::candidates_for(std::uint32_t src,
@@ -403,10 +379,10 @@ std::uint32_t Router::submit_flight(FlightState flight) {
              static_cast<std::uint64_t>(flight.request.num_pairs))});
   }
   // try_admit may throw on a malformed pinned path; count the request
-  // only once it is known to be admitted, deferred, queued, or
-  // rejected, so submitted == admitted-first-try + deferred-first-try
-  // + blocked + rejected stays an invariant (a deferred request joins
-  // `admitted` later, when its booked window opens).
+  // only once it is known to be admitted, deferred or queued, so
+  // submitted == admitted-first-try + deferred-first-try + blocked
+  // stays an invariant (a deferred request joins `admitted` later, when
+  // its booked window opens).
   const std::uint32_t id = try_admit(flight);
   ++stats_.submitted;
   if (id != 0) {
@@ -414,10 +390,6 @@ std::uint32_t Router::submit_flight(FlightState flight) {
   }
   if (try_defer(flight)) {
     return 0;  // booked: the submission fires at the window start
-  }
-  if (!config_.queue_blocked) {
-    ++stats_.rejected;
-    return 0;
   }
   ++stats_.blocked;
   if (collector_) collector_->record_blocked();
@@ -441,12 +413,10 @@ void Router::enqueue_flight(FlightState flight) {
   schedule_expiry_wakeup();
 }
 
-void Router::prune_exclusions(FlightState& flight, sim::SimTime now) const {
-  const sim::SimTime ttl = config_.exclusion_ttl;
-  std::erase_if(flight.excluded, [this, now, ttl](const Exclusion& e) {
-    if (ttl > 0 && now - e.at >= ttl) return true;
-    // Strict >: an exclusion recorded in the same event as a recovery
-    // stamp reflects a *later* observation (the edge just failed).
+void Router::prune_exclusions(FlightState& flight) const {
+  // Strict >: an exclusion recorded in the same event as a recovery
+  // stamp reflects a *later* observation (the edge just failed).
+  std::erase_if(flight.excluded, [this](const Exclusion& e) {
     return edge_recovered_at(e.edge) > e.at;
   });
 }
@@ -475,28 +445,13 @@ void Router::trace_terminal(const FlightState& flight, const char* outcome) {
            "reroutes", static_cast<std::uint64_t>(flight.reroutes_used))});
 }
 
-void Router::queue_or_drop_reroute(FlightState flight,
-                                   const netlayer::E2eErr& err) {
+void Router::requeue_reroute(FlightState flight) {
   if (try_admit(flight) != 0) return;
   if (try_defer(flight)) return;
-  if (config_.queue_blocked) {
-    // Not counted in Stats::blocked / record_blocked: those count
-    // *requests* that ever queued, and this one already counted at
-    // submission if it did.
-    enqueue_flight(std::move(flight));
-    return;
-  }
-  // Queueing disabled: the reroute dies here, and the death is
-  // terminal — the error handler's contract covers it.
-  ++stats_.failed;
-  ++stats_.abandoned;
-  if (collector_) collector_->record_abandon();
-  if (tracer_) {
-    tracer_->instant(flight.request.trace_id, "router", "abandon",
-                     sim_.now());
-    trace_terminal(flight, "abandoned");
-  }
-  if (on_error_) on_error_(err);
+  // Not counted in Stats::blocked / record_blocked: those count
+  // *requests* that ever queued, and this one already counted at
+  // submission if it did.
+  enqueue_flight(std::move(flight));
 }
 
 void Router::schedule_expiry_wakeup() {
@@ -571,11 +526,11 @@ void Router::on_error(const netlayer::E2eErr& err) {
     // The failing edge joins the request's exclusion set; surviving
     // candidates (Yen already yielded k) are preferred, and the search
     // only re-runs over the exclusion set once they run dry. Exclusions
-    // decay first (TTL / fidelity recovery), so a recovered edge is
-    // back in the search space within the re-route budget.
+    // of edges whose fidelity recovered are dropped first, so a
+    // repaired edge is back in the search space within the budget.
     const sim::SimTime now = sim_.now();
     flight.excluded.push_back({err.link, now});
-    prune_exclusions(flight, now);
+    prune_exclusions(flight);
     std::erase_if(flight.candidates, [&err](const Path& path) {
       return std::find(path.edges.begin(), path.edges.end(), err.link) !=
              path.edges.end();
@@ -607,7 +562,7 @@ void Router::on_error(const netlayer::E2eErr& err) {
                  "attempt",
                  static_cast<std::uint64_t>(flight.reroutes_used))});
       }
-      queue_or_drop_reroute(std::move(flight), err);
+      requeue_reroute(std::move(flight));
       return;
     }
   }

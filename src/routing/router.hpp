@@ -42,20 +42,19 @@
 /// the request is resubmitted, up to the budget. The error handler sees
 /// terminal failures only; absorbed hop failures surface in
 /// Stats::rerouted and metrics::Collector::reroutes. Exclusions decay:
-/// with exclusion_ttl > 0 an excluded edge ages out after the TTL, and
-/// independently of the TTL an edge whose annotated fidelity recovered
-/// (refresh_annotations measured a gain >= recovery_min_gain since the
-/// exclusion) is dropped at the next re-route, so a repaired link is
-/// routable again within the request's budget.
+/// an edge whose annotated fidelity recovered (refresh_annotations
+/// measured a gain >= kRecoveryMinGain since the exclusion) is dropped
+/// at the next re-route, so a repaired link is routable again within
+/// the request's budget.
 ///
-/// Deferred admission (defer_admission): a request that fits no
+/// Scheduled admission (scheduled_admission): a request that fits no
 /// candidate *now* books the earliest future window in which one
 /// candidate's edges are all free (ReservationTable::earliest_window /
 /// reserve_at) and the Router schedules its submission at that start —
 /// instead of parking the request blind in the blocked queue. Requests
 /// that cannot book a finite window (an edge pinned forever) still
-/// queue. batch_admission switches the blocked-queue drain to the
-/// per-edge-FIFO batch policy (see reservation.hpp).
+/// queue, and the blocked queue drains under the per-edge-FIFO batch
+/// policy (see reservation.hpp).
 
 namespace qlink::routing {
 
@@ -70,9 +69,6 @@ struct RouterConfig {
   CostModel cost = CostModel::kHopCount;
   /// Candidate paths per request (k of k-shortest).
   std::size_t k_candidates = 4;
-  /// Queue requests that fit no candidate (retried on release or lease
-  /// expiry); false rejects them immediately instead.
-  bool queue_blocked = true;
   /// Re-routing budget per request: after a hop failure the failing
   /// edge is excluded and the request resubmitted over a sibling
   /// candidate, at most this many times. 0 = static routing (every
@@ -87,21 +83,12 @@ struct RouterConfig {
   /// leases (whole-request pinning, the historical behavior).
   double lease_slack = 0.0;
   /// Book a future lease window for requests that fit nothing now and
-  /// schedule their submission at the window start (see file comment).
-  /// false = queue blind (the PR-4 behavior).
-  bool defer_admission = false;
-  /// Per-edge-FIFO batch drain of the blocked queue: a younger blocked
-  /// request never jumps an older one on a shared edge, while requests
-  /// with disjoint footprints admit in the same wakeup. false = the
-  /// historical greedy drain (jumps allowed, counted as steals).
-  bool batch_admission = false;
-  /// Re-routing exclusions age out after this long (sim time); 0 =
-  /// excluded forever (the PR-4 behavior).
-  sim::SimTime exclusion_ttl = 0;
-  /// An excluded edge whose annotated fidelity rises by at least this
-  /// much across refresh_annotations calls counts as recovered and is
-  /// dropped from exclusion sets at the next re-route.
-  double recovery_min_gain = 0.05;
+  /// schedule their submission at the window start, and drain the
+  /// blocked queue per-edge FIFO: a younger blocked request never jumps
+  /// an older one on a shared edge, while requests with disjoint
+  /// footprints admit in the same wakeup (see file comment). false =
+  /// queue blind and drain greedily (jumps allowed, counted as steals).
+  bool scheduled_admission = false;
   /// Cache Yen candidate lists per (src, dst), invalidated whenever
   /// annotate_from_network / refresh_annotations rewrites the edge
   /// parameters. The selector is deterministic, so a cache hit returns
@@ -129,6 +116,11 @@ struct RefreshOptions {
 
 class Router {
  public:
+  /// An excluded edge whose annotated fidelity rises by at least this
+  /// much across refresh_annotations calls counts as recovered and is
+  /// dropped from exclusion sets at the next re-route.
+  static constexpr double kRecoveryMinGain = 0.05;
+
   struct Stats {
     std::uint64_t submitted = 0;
     /// Admissions (a re-routed request is admitted again; resubmissions
@@ -144,7 +136,8 @@ class Router {
     /// Total booked wait (sim time) across `deferred`: the gap between
     /// the deferral and the booked window start.
     sim::SimTime deferred_wait_total = 0;
-    /// Requests dropped because queueing is disabled.
+    /// Always 0: every request that fits nothing is deferred or
+    /// queued. Kept because snapshots and benches report it.
     std::uint64_t rejected = 0;
     std::uint64_t completed = 0;
     /// Terminal failures (with re-routing enabled, failures that could
@@ -194,8 +187,7 @@ class Router {
   void refresh_annotations(const RefreshOptions& options);
 
   /// Submit an end-to-end request. Returns the SwapService request id
-  /// when admitted immediately, 0 when queued (or rejected — see
-  /// Stats). Throws std::invalid_argument when the graph offers no
+  /// when admitted immediately, 0 when deferred or queued. Throws std::invalid_argument when the graph offers no
   /// src -> dst path at all.
   std::uint32_t submit(const netlayer::E2eRequest& request);
 
@@ -246,7 +238,7 @@ class Router {
     return deferred_events_.size();
   }
   /// When refresh_annotations last saw this edge's fidelity recover by
-  /// >= recovery_min_gain (0 = never). Exclusions older than this are
+  /// >= kRecoveryMinGain (0 = never). Exclusions older than this are
   /// dropped at the next re-route.
   sim::SimTime edge_recovered_at(std::size_t edge) const {
     return edge < recovered_at_.size() ? recovered_at_[edge] : 0;
@@ -273,7 +265,7 @@ class Router {
 
  private:
   /// A re-routing exclusion: the edge to avoid and when it failed (so
-  /// exclusion_ttl / recovery can age it out).
+  /// a later recovery can age it out).
   struct Exclusion {
     std::size_t edge = 0;
     sim::SimTime at = 0;
@@ -302,31 +294,36 @@ class Router {
   /// entry was computed.
   std::vector<Path> candidates_for(std::uint32_t src, std::uint32_t dst);
   std::uint32_t submit_flight(FlightState flight);
-  /// Reserve + hand to the SwapService over the first fitting
-  /// candidate; returns the SwapService request id, 0 when nothing
-  /// fits. On success `flight` has been moved into in_flight_.
+  /// Reserve + admit over the first fitting candidate; returns the
+  /// plane's request id, 0 when nothing fits. On success `flight` has
+  /// been moved into in_flight_.
   std::uint32_t try_admit(FlightState& flight);
-  /// Deferred admission: book the candidate with the earliest feasible
-  /// future window and schedule the submission at its start. False when
-  /// deferral is off or no candidate has a finite window.
+  /// The one admission path, for an immediate fit (try_admit) and a
+  /// booked window opening (try_defer) alike: hand `flight`, whose
+  /// ticket already reserves `path`, to the plane; count it; record its
+  /// admission wait, route length, booked deferral and trace span; and
+  /// move it into in_flight_. Releases the ticket and rethrows when the
+  /// plane rejects the route.
+  std::uint32_t admit(FlightState& flight, const Path& path);
+  /// Scheduled admission: book the candidate with the earliest feasible
+  /// future window and admit at its start. False when scheduled
+  /// admission is off or no candidate has a finite window.
   bool try_defer(FlightState& flight);
-  /// Hand a booked flight to the SwapService at its window start (the
-  /// deferred analogue of try_admit's success path).
-  void submit_deferred(FlightState flight, const Path& path);
   /// Queue `flight` in the reservation table's blocked queue with its
   /// preferred candidate's edges as the drain footprint.
   void enqueue_flight(FlightState flight);
-  /// Drop exclusions that aged past exclusion_ttl or whose edge
-  /// recovered (refresh_annotations) since the exclusion was recorded.
-  void prune_exclusions(FlightState& flight, sim::SimTime now) const;
+  /// Drop exclusions whose edge recovered (refresh_annotations) since
+  /// the exclusion was recorded.
+  void prune_exclusions(FlightState& flight) const;
   /// Forward the reservation table's contention counters (steals /
   /// per-edge-FIFO holds) to the collector as they grow.
   void sync_contention_metrics();
   /// Close the request's trace lane with its envelope span
   /// (submitted_at -> now, outcome in the args).
   void trace_terminal(const FlightState& flight, const char* outcome);
-  void queue_or_drop_reroute(FlightState flight,
-                             const netlayer::E2eErr& err);
+  /// Admit, defer or queue a re-routed flight (a resubmission is not
+  /// counted as blocked again).
+  void requeue_reroute(FlightState flight);
   void on_deliver(const netlayer::E2eOk& ok);
   void on_error(const netlayer::E2eErr& err);
   /// Keep a wakeup scheduled at the reservation table's next lease

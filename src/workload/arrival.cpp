@@ -1,23 +1,6 @@
 #include "workload/arrival.hpp"
 
-#include <cmath>
-#include <numbers>
-
 namespace qlink::workload {
-
-sim::SimTime DiurnalProcess::next_arrival(sim::Random& random,
-                                          sim::SimTime now) const {
-  const double peak = rate_hz_ * (1.0 + depth_);
-  sim::SimTime t = now;
-  while (true) {
-    const double gap_s = random.exponential(1.0 / peak);
-    t += std::max<sim::SimTime>(sim::duration::seconds(gap_s), 1);
-    const double phase =
-        2.0 * std::numbers::pi * sim::to_seconds(t) / period_s_;
-    const double rate = rate_hz_ * (1.0 + depth_ * std::sin(phase));
-    if (random.uniform() * peak < rate) return t;
-  }
-}
 
 ClassMixProcess::ClassMixProcess(std::shared_ptr<ArrivalProcess> inner,
                                  std::vector<Class> classes)

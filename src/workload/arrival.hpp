@@ -17,12 +17,13 @@
 /// An ArrivalProcess is a deterministic pure function of
 /// (Random&, now): given the shared random source and the current
 /// simulation time it returns the next arrival instant (strictly
-/// after now). It holds no mutable state of its own — burst phases
-/// and diurnal position are derived from `now`, never stored — so the
-/// same seed replays the same arrival train regardless of who else
-/// shares the Random, and a process can be swapped mid-run without
-/// losing its place. The driver keeps exactly one pending arrival
-/// event on the heap (O(1) heap state however high the offered rate).
+/// after now). It holds no mutable state of its own, so the same seed
+/// replays the same arrival train regardless of who else shares the
+/// Random. The driver keeps exactly one pending arrival event on the
+/// heap (O(1) heap state however high the offered rate).
+///
+/// Two shapes exist: Poisson arrivals, and a weighted per-class mix
+/// over an inner process.
 
 namespace qlink::workload {
 
@@ -82,78 +83,6 @@ class PoissonProcess : public ArrivalProcess {
 
  private:
   double rate_hz_;
-};
-
-/// Bursty on/off arrivals: a deterministic square wave of period
-/// `on_s + off_s` (phase derived from `now`, anchored at t = 0).
-/// During ON windows arrivals are Poisson at `rate_hz`; draws that
-/// land in an OFF window are pushed past it, so the duty cycle is
-/// exact however long the run.
-class OnOffProcess : public ArrivalProcess {
- public:
-  OnOffProcess(double rate_hz, double on_s, double off_s)
-      : rate_hz_(rate_hz),
-        on_(sim::duration::seconds(on_s)),
-        off_(sim::duration::seconds(off_s)) {
-    if (rate_hz <= 0.0 || on_ <= 0 || off_ < 0) {
-      throw std::invalid_argument("OnOffProcess: bad rate or window");
-    }
-  }
-
-  sim::SimTime next_arrival(sim::Random& random,
-                            sim::SimTime now) const override {
-    const sim::SimTime period = on_ + off_;
-    // Remaining ON budget: one exponential draw, spent across however
-    // many ON windows it takes (OFF time does not consume budget).
-    sim::SimTime budget = std::max<sim::SimTime>(
-        sim::duration::seconds(random.exponential(1.0 / rate_hz_)), 1);
-    sim::SimTime t = now;
-    while (true) {
-      const sim::SimTime phase = t % period;
-      if (phase >= on_) {
-        t += period - phase;  // inside OFF: skip to the next window
-        continue;
-      }
-      const sim::SimTime window_left = on_ - phase;
-      if (budget <= window_left) return t + budget;
-      budget -= window_left;
-      t += window_left;  // now at the OFF boundary; loop skips it
-    }
-  }
-
-  double mean_rate_hz() const override {
-    return rate_hz_ * sim::to_seconds(on_) / sim::to_seconds(on_ + off_);
-  }
-
- private:
-  double rate_hz_;
-  sim::SimTime on_;
-  sim::SimTime off_;
-};
-
-/// Diurnal-modulated Poisson arrivals: instantaneous rate
-/// rate_hz * (1 + depth * sin(2*pi * now / period)) via thinning
-/// against the peak rate — each candidate gap is drawn at the peak and
-/// accepted with probability rate(t)/peak, which is exact and keeps
-/// the process a pure function of now.
-class DiurnalProcess : public ArrivalProcess {
- public:
-  DiurnalProcess(double rate_hz, double period_s, double depth = 0.5)
-      : rate_hz_(rate_hz), period_s_(period_s), depth_(depth) {
-    if (rate_hz <= 0.0 || period_s <= 0.0 || depth < 0.0 || depth > 1.0) {
-      throw std::invalid_argument("DiurnalProcess: bad rate/period/depth");
-    }
-  }
-
-  sim::SimTime next_arrival(sim::Random& random,
-                            sim::SimTime now) const override;
-
-  double mean_rate_hz() const override { return rate_hz_; }
-
- private:
-  double rate_hz_;
-  double period_s_;
-  double depth_;
 };
 
 /// Weighted per-user-class mix over an inner arrival process: arrival

@@ -33,10 +33,6 @@ DriverConfig WorkloadConfig::tuning() const {
   DriverConfig d;
   d.seed = seed;
   d.stale_pair_horizon = stale_pair_horizon;
-  d.annotate_refresh_interval = annotate_refresh_interval;
-  d.refresh_floor_menu = refresh_floor_menu;
-  d.refresh_min_rounds = refresh_min_rounds;
-  d.refresh_stale_halflife_s = refresh_stale_halflife_s;
   return d;
 }
 
@@ -232,26 +228,11 @@ double WorkloadDriver::issue_probability(Priority kind,
   return spec.fraction * p_succ / e_cycles;  // per pair; /k applied later
 }
 
-void WorkloadDriver::maybe_refresh_annotations() {
-  if (router_ == nullptr || tuning_.annotate_refresh_interval <= 0) return;
-  if (last_refresh_ &&
-      now() - *last_refresh_ < tuning_.annotate_refresh_interval) {
-    return;
-  }
-  routing::RefreshOptions options;
-  options.floor_menu = tuning_.refresh_floor_menu;
-  options.min_rounds = tuning_.refresh_min_rounds;
-  options.stale_halflife_s = tuning_.refresh_stale_halflife_s;
-  router_->refresh_annotations(options);
-  last_refresh_ = now();
-}
-
 void WorkloadDriver::on_cycle() {
   if (session_ != nullptr) session_->poll();
   if (plane_ != nullptr) {
     // Stale-pair eviction lives in the plane here; pending_ is only
     // populated in single-link mode.
-    maybe_refresh_annotations();
     if (traffic_.arrivals == nullptr) maybe_issue_e2e();
     if (net_ != nullptr) {
       std::size_t queued = 0;

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/network.hpp"
 #include "metrics/collector.hpp"
@@ -37,9 +36,9 @@ class Router;
 ///    (E * k) for a uniformly random k <= k_max — f_P sets the offered
 ///    load relative to link capacity (0.7 = Low, 0.99 = High,
 ///    1.5 = Ultra);
-///  - an ArrivalProcess (workload/arrival.hpp): Poisson / bursty
-///    on/off / diurnal / per-class mixes streaming requests with O(1)
-///    heap state per in-flight request — the million-request mode.
+///  - an ArrivalProcess (workload/arrival.hpp): Poisson arrivals or
+///    per-class mixes over them, streaming requests with O(1) heap
+///    state per in-flight request — the million-request mode.
 ///
 /// Three plumbing modes, built through the named factories:
 ///
@@ -88,32 +87,20 @@ struct TrafficConfig {
   std::shared_ptr<ArrivalProcess> arrivals;
 };
 
-/// Plumbing: seeds, polling cadence, annotation refresh. Nothing here
-/// changes what the traffic asks for.
+/// Plumbing: seeds and polling cadence. Nothing here changes what the
+/// traffic asks for.
 struct DriverConfig {
   std::uint64_t seed = 7;
   /// Evict unmatched delivered pairs after this long (covers lost OKs).
   sim::SimTime stale_pair_horizon = sim::duration::milliseconds(20);
   /// Control-loop cadence (observation-session polls, queue/backlog
-  /// samples, refresh checks, Bernoulli issue). 0 = the reference
+  /// samples, Bernoulli issue). 0 = the reference
   /// link's MHP cycle, or 10 us when no full-detail link exists
   /// (routed mode over a flow plane).
   sim::SimTime poll_interval = 0;
   /// Arrival mode: stop issuing after this many requests (0 =
   /// unlimited — issue until stop()).
   std::uint64_t max_requests = 0;
-  /// Routed mode only: refresh the router's edge annotations from live
-  /// FEU test-round estimates this often (0 = static annotations). See
-  /// routing::Router::refresh_annotations.
-  sim::SimTime annotate_refresh_interval = 0;
-  /// CREATE-floor menu the periodic refresh re-annotates with
-  /// (descending quality set-points — also what stale measurements
-  /// decay back to).
-  std::vector<double> refresh_floor_menu{0.85, 0.775, 0.7, 0.625};
-  /// Minimum recorded test rounds before a link's measurements count.
-  std::size_t refresh_min_rounds = 30;
-  /// Staleness half-life of a measurement, seconds.
-  double refresh_stale_halflife_s = 0.5;
 };
 
 /// Convenience aggregate: the union of TrafficConfig and DriverConfig
@@ -130,10 +117,6 @@ struct WorkloadConfig {
   std::uint64_t seed = 7;
   sim::SimTime stale_pair_horizon = sim::duration::milliseconds(20);
   double link_min_fidelity = 0.0;
-  sim::SimTime annotate_refresh_interval = 0;
-  std::vector<double> refresh_floor_menu{0.85, 0.775, 0.7, 0.625};
-  std::size_t refresh_min_rounds = 30;
-  double refresh_stale_halflife_s = 0.5;
 
   TrafficConfig traffic() const;
   DriverConfig tuning() const;
@@ -231,7 +214,6 @@ class WorkloadDriver : public sim::Entity {
   std::size_t e2e_num_nodes() const;
 
   void on_cycle();
-  void maybe_refresh_annotations();
   void maybe_issue(core::Priority kind, const KindSpec& spec);
   void maybe_issue_e2e();
   /// Arrival mode: issue the request the process shaped, then schedule
@@ -261,7 +243,6 @@ class WorkloadDriver : public sim::Entity {
   std::map<std::uint32_t, core::Priority> kind_by_create_[2];
   std::uint64_t issued_ = 0;
   std::uint64_t matched_ = 0;
-  std::optional<sim::SimTime> last_refresh_;
   std::array<std::optional<double>, 2> cached_p_succ_{};  // per type K/M
 };
 

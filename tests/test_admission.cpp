@@ -54,8 +54,7 @@ struct ContendedChain {
     // Leases lapse before holders finish (slack < 1), so admission is
     // governed by the lease calendar deferred booking schedules.
     rc.lease_slack = 0.5;
-    rc.defer_admission = scheduler;
-    rc.batch_admission = scheduler;
+    rc.scheduled_admission = scheduler;
     router = std::make_unique<routing::Router>(chain, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
@@ -198,7 +197,7 @@ struct DeadRing {
   std::unique_ptr<routing::Router> router;
   std::vector<E2eErr> errors;
 
-  explicit DeadRing(sim::SimTime exclusion_ttl, std::size_t max_reroutes)
+  explicit DeadRing(std::size_t max_reroutes)
       : ring(routing::Graph::ring(4)),
         dead_a(ring.find_edge(1, 2)),
         dead_b(ring.find_edge(2, 3)) {
@@ -217,7 +216,6 @@ struct DeadRing {
     routing::RouterConfig rc;
     rc.k_candidates = 4;
     rc.max_reroutes = max_reroutes;
-    rc.exclusion_ttl = exclusion_ttl;
     router = std::make_unique<routing::Router>(ring, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
@@ -234,7 +232,7 @@ struct DeadRing {
 };
 
 TEST(ExclusionDecay, PermanentExclusionExhaustsCandidatesAfterOneReroute) {
-  DeadRing w(/*exclusion_ttl=*/0, /*max_reroutes=*/5);
+  DeadRing w(/*max_reroutes=*/5);
   w.net->start();
   w.router->submit(ContendedChain::request(0, 2, 1));
   w.run_to_settlement();
@@ -247,34 +245,14 @@ TEST(ExclusionDecay, PermanentExclusionExhaustsCandidatesAfterOneReroute) {
   ASSERT_EQ(w.errors.size(), 1u);
 }
 
-TEST(ExclusionDecay, TtlReadmitsTheAgedOutEdgeUntilBudgetExhausts) {
-  // A tiny TTL: the blocker separates the two failures in time, so by
-  // the time the second failure prunes the set, the first corridor's
-  // exclusion has aged out and the "repaired" corridor is re-tried
-  // (one extra admission vs the permanent-exclusion baseline).
-  DeadRing w(/*exclusion_ttl=*/1, /*max_reroutes=*/5);
-  w.net->start();
-  w.router->submit(ContendedChain::request(0, 3, 4));  // the blocker
-  w.router->submit(ContendedChain::request(0, 2, 1));
-  const auto& stats = w.router->stats();
-  for (int i = 0; i < 2000 && stats.completed + stats.failed < 2; ++i) {
-    w.net->run_for(sim::duration::milliseconds(1));
-  }
-  EXPECT_EQ(stats.completed, 1u);  // the blocker
-  EXPECT_EQ(stats.rerouted, 2u);
-  EXPECT_EQ(stats.abandoned, 1u);
-  EXPECT_EQ(w.collector.route_length().count(), 4u);
-  ASSERT_EQ(w.errors.size(), 1u);
-}
-
 TEST(ExclusionDecay, FidelityRecoverySignalReadmitsTheRecoveredEdge) {
-  // Permanent TTL, but between the two failures the first dead link's
-  // FEU reports perfect test rounds: refresh_annotations stamps the
-  // edge recovered, the next re-route prunes its exclusion, and the
+  // Between the two failures the first dead link's FEU reports
+  // perfect test rounds: refresh_annotations stamps the edge
+  // recovered, the next re-route prunes its exclusion, and the
   // request tries the "repaired" corridor once more (it is still
   // physically dead, so the run ends abandoned — but with one more
   // admission than the permanent-exclusion baseline).
-  DeadRing w(/*exclusion_ttl=*/0, /*max_reroutes=*/5);
+  DeadRing w(/*max_reroutes=*/5);
   routing::RefreshOptions options;
   const double menu[] = {0.7};
   options.floor_menu = menu;
@@ -288,7 +266,7 @@ TEST(ExclusionDecay, FidelityRecoverySignalReadmitsTheRecoveredEdge) {
   // Step event by event until the first corridor failed (its exclusion
   // recorded, the re-route parked behind the blocker), then feed the
   // dead link perfect test rounds and refresh: measured fidelity 1.0
-  // vs the annotated 0.25 is far past recovery_min_gain.
+  // vs the annotated 0.25 is far past kRecoveryMinGain.
   const auto& stats = w.router->stats();
   while (w.collector.reroutes() < 1 && stats.failed == 0) {
     ASSERT_TRUE(w.net->simulator().step());

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "metrics/collector.hpp"
@@ -11,6 +12,7 @@
 #include "obs/trace.hpp"
 #include "qstate/state_store.hpp"
 #include "routing/router.hpp"
+#include "sim/simulator.hpp"
 
 /// Live run monitor (ISSUE 7): interval time-series telemetry and the
 /// stall watchdog. The load-bearing guarantees under test: byte-
@@ -271,6 +273,21 @@ TEST(StallWatchdog, ConsecutiveThresholdDebouncesIsolatedQuietIntervals) {
   // Intervals 0 and 1 build the run; 2..9 are at/past the threshold.
   EXPECT_EQ(monitor.intervals(), 10u);
   EXPECT_EQ(monitor.stalled_intervals(), 8u);
+}
+
+TEST(MonitorConfig, RejectsANonPositiveIntervalOrAZeroStallThreshold) {
+  // Bad configs fail loudly instead of being rewritten to a default.
+  sim::Simulator sim;
+  metrics::Collector collector;
+  for (const sim::SimTime interval : {sim::SimTime{0}, sim::SimTime{-1}}) {
+    MonitorConfig mc;
+    mc.interval = interval;
+    EXPECT_THROW((Monitor{sim, collector, mc}), std::invalid_argument);
+  }
+  MonitorConfig mc;
+  mc.stall_consecutive = 0;
+  EXPECT_THROW((Monitor{sim, collector, mc}), std::invalid_argument);
+  EXPECT_NO_THROW((Monitor{sim, collector, MonitorConfig{}}));
 }
 
 TEST(StallWatchdog, NeverFiresWithoutARouter) {

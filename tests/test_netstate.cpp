@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "metrics/collector.hpp"
@@ -14,6 +15,7 @@
 #include "obs/session.hpp"
 #include "qstate/state_store.hpp"
 #include "routing/router.hpp"
+#include "sim/simulator.hpp"
 
 /// Network-state observability (ISSUE 8): the per-edge accounting
 /// substrate (metrics::EdgeStats + the Space-Saving sketch), the
@@ -41,6 +43,18 @@ std::size_t count_of(const std::string& haystack, const std::string& needle) {
     ++n;
   }
   return n;
+}
+
+TEST(NetStateConfig, RejectsANonPositiveInterval) {
+  // A bad cadence fails loudly instead of being rewritten to 100 ms.
+  sim::Simulator sim;
+  const EdgeStats stats(3, 3);
+  for (const sim::SimTime interval : {sim::SimTime{0}, sim::SimTime{-1}}) {
+    NetStateConfig nsc;
+    nsc.interval = interval;
+    EXPECT_THROW((NetState{sim, stats, nsc}), std::invalid_argument);
+  }
+  EXPECT_NO_THROW((NetState{sim, stats, NetStateConfig{}}));
 }
 
 // ---------------------------------------------------------------------------
@@ -426,10 +440,8 @@ TEST(NetStateRun, RunReportRendersTheRun) {
   SampledWorld w(qstate::BackendKind::kBellDiagonal, 11,
                  /*sampled=*/true);
   w.run_request();
-  RunReportOptions ro;
-  ro.title = "test run";
   const std::string md = render_run_report(
-      w.net->simulator(), *w.edge_stats, w.collector, &w.grid, ro);
+      w.net->simulator(), *w.edge_stats, w.collector, &w.grid, "test run");
   EXPECT_NE(md.find("### test run"), std::string::npos);
   EXPECT_NE(md.find("Hot edges"), std::string::npos);
   EXPECT_NE(md.find("Latency phases"), std::string::npos);
@@ -437,7 +449,7 @@ TEST(NetStateRun, RunReportRendersTheRun) {
   EXPECT_NE(md.find("generation"), std::string::npos);
   // Deterministic rendering: same state, same bytes.
   EXPECT_EQ(md, render_run_report(w.net->simulator(), *w.edge_stats,
-                                  w.collector, &w.grid, ro));
+                                  w.collector, &w.grid, "test run"));
 }
 
 TEST(NetStateRun, SessionMatchesTheHandWiredObservers) {
@@ -455,7 +467,7 @@ TEST(NetStateRun, SessionMatchesTheHandWiredObservers) {
   EXPECT_EQ(session.netstate_jsonl(), wired.netstate->jsonl());
   EXPECT_EQ(session.report("t"),
             render_run_report(wired.net->simulator(), *wired.edge_stats,
-                              wired.collector, &wired.grid, {.title = "t"}));
+                              wired.collector, &wired.grid, "t"));
   EXPECT_EQ(session.max_utilization(), wired.netstate->max_utilization());
   ASSERT_TRUE(session.monitored());
   EXPECT_EQ(count_of(session.monitor_jsonl(), "\"final\":true"), 1u);
