@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "metrics/histogram.hpp"
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
+#include "obs/json.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "routing/router.hpp"
@@ -235,6 +239,30 @@ TEST(CollectorOrigin, MissingOriginThrowsWithNodeAndProbesAreSafe) {
   } catch (const std::out_of_range& e) {
     EXPECT_NE(std::string(e.what()).find("42"), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared JSON number writers (Monitor, NetState and Snapshot use them)
+
+TEST(ObsJson, DoublesRoundTripExactly) {
+  for (const double v : {0.1, 1.0 / 3.0, -2.5e-300, 6.02214076e23,
+                         0.9999999999999999}) {
+    std::string out;
+    json::append_num(out, v);
+    EXPECT_EQ(std::strtod(out.c_str(), nullptr), v) << out;
+  }
+}
+
+TEST(ObsJson, CountersAndFieldsPrintBareDecimals) {
+  std::string out;
+  json::append_num(out, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(out, "18446744073709551615");
+
+  out.clear();
+  json::append_field(out, "events", std::uint64_t{42});
+  out += ',';
+  json::append_field(out, "rate", 0.5);
+  EXPECT_EQ(out, "\"events\":42,\"rate\":0.5");
 }
 
 // ---------------------------------------------------------------------------
