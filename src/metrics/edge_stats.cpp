@@ -1,6 +1,7 @@
 #include "metrics/edge_stats.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace qlink::metrics {
 
@@ -9,12 +10,14 @@ EdgeStats::EdgeStats(std::size_t num_edges, std::size_t num_nodes,
     : edges_(num_edges),
       nodes_(num_nodes),
       coverage_(num_edges),
+      touched_flag_(num_edges, 0),
       sketch_(sketch_capacity) {}
 
 void EdgeStats::on_lease(std::size_t edge, std::uint64_t ticket,
                          sim::SimTime start, sim::SimTime end) {
   ++edges_.at(edge).leases;
   ++lease_count_;
+  touch(edge);
   coverage_[edge].open.push_back(Window{ticket, start, end});
   sketch_.add(static_cast<std::uint64_t>(edge));
 }
@@ -24,6 +27,7 @@ void EdgeStats::on_lease_release(std::size_t edge, std::uint64_t ticket,
   if (now < 0) return;  // release time unknown: keep the scheduled end
   for (Window& w : coverage_.at(edge).open) {
     if (w.ticket == ticket) {
+      touch(edge);
       // Early release truncates the window; a lease that lapsed first
       // (end <= now) keeps its scheduled end. Releases happen at or
       // after every boundary folded so far, so no folded coverage is
@@ -38,6 +42,7 @@ void EdgeStats::on_lease_release(std::size_t edge, std::uint64_t ticket,
 void EdgeStats::on_blocked(std::span<const std::size_t> footprint) {
   for (const std::size_t e : footprint) {
     ++edges_.at(e).blocked;
+    touch(e);
     sketch_.add(static_cast<std::uint64_t>(e));
   }
 }
@@ -50,12 +55,14 @@ void EdgeStats::on_admission_wait(std::span<const std::size_t> edges,
     EdgeCounters& c = edges_.at(e);
     ++c.admission_waits;
     c.admission_wait_s += wait_s;
+    touch(e);
   }
 }
 
 void EdgeStats::on_attempt(std::size_t edge, std::uint64_t pairs) {
   edges_.at(edge).attempts += pairs;
   attempt_pairs_ += pairs;
+  touch(edge);
   sketch_.add(static_cast<std::uint64_t>(edge), pairs);
 }
 
@@ -68,6 +75,7 @@ void EdgeStats::on_delivered_edge(std::size_t edge, double fidelity) {
   EdgeCounters& c = edges_.at(edge);
   ++c.deliveries;
   c.fidelity.add(fidelity);
+  touch(edge);
 }
 
 void EdgeStats::on_delivered_pair(std::uint32_t src, std::uint32_t dst) {
@@ -104,6 +112,21 @@ double EdgeStats::busy_seconds(std::size_t edge, sim::SimTime t) const {
   return sim::to_seconds(cov.busy);
 }
 
+void EdgeStats::claim_touched() const {
+  if (touched_claimed_) {
+    throw std::logic_error(
+        "EdgeStats: the touched-edge feed already has a reader (one "
+        "NetState per EdgeStats)");
+  }
+  touched_claimed_ = true;
+}
+
+void EdgeStats::take_touched(std::vector<std::size_t>& out) const {
+  out.clear();
+  out.swap(touched_);
+  for (const std::size_t e : out) touched_flag_[e] = 0;
+}
+
 void EdgeStats::merge(const EdgeStats& other) {
   const std::size_t edges = std::min(edges_.size(), other.edges_.size());
   for (std::size_t i = 0; i < edges; ++i) {
@@ -122,6 +145,7 @@ void EdgeStats::merge(const EdgeStats& other) {
     cov.busy += ocov.busy;
     cov.folded_t = std::max(cov.folded_t, ocov.folded_t);
     cov.open.insert(cov.open.end(), ocov.open.begin(), ocov.open.end());
+    touch(i);
   }
   const std::size_t nodes = std::min(nodes_.size(), other.nodes_.size());
   for (std::size_t i = 0; i < nodes; ++i) {

@@ -31,6 +31,11 @@
 /// SpaceSaving sketch keeps hot-edge *ranking* O(k) for the
 /// 1000+-node tier (fed one activity event per lease placement,
 /// blocked-arrival footprint edge, and per-hop CREATE attempt).
+///
+/// Every per-edge hook also records its edge, once, in a touched list
+/// that one reader (obs::NetState) drains per record. With it, and
+/// has_open_lease() for the edges whose coverage can still grow, a
+/// record costs O(edges that can have changed) instead of O(edges).
 
 namespace qlink::metrics {
 
@@ -69,7 +74,9 @@ class EdgeStats {
 
   // -- ReservationTable hooks ---------------------------------------------
   /// A lease window [start, end) was placed on `edge` (end may be
-  /// SimTime max for an unbounded pin).
+  /// SimTime max for an unbounded pin). `start` is not before any time
+  /// busy_seconds() already folded to: leases start at sim now or at a
+  /// booked future time.
   void on_lease(std::size_t edge, std::uint64_t ticket, sim::SimTime start,
                 sim::SimTime end);
   /// The ticket released its lease on `edge` at `now` (truncates the
@@ -130,12 +137,28 @@ class EdgeStats {
   /// Hot-edge activity ranking (see file comment for what feeds it).
   const SpaceSaving& hot_edges() const noexcept { return sketch_; }
 
+  // -- Touched-edge feed (one reader) -------------------------------------
+  /// Reserve the touched-edge feed. A second reader would take the
+  /// first one's edges, so claiming a claimed feed throws
+  /// std::logic_error; release_touched() frees it.
+  void claim_touched() const;
+  void release_touched() const noexcept { touched_claimed_ = false; }
+  /// Replace `out` with the edges any per-edge hook touched since the
+  /// last call (each once, in touch order) and start a new list.
+  void take_touched(std::vector<std::size_t>& out) const;
+  /// True while the edge holds a lease window that ends after its last
+  /// busy_seconds() fold, booked future windows included: its coverage
+  /// can still grow with no further hook call.
+  bool has_open_lease(std::size_t edge) const {
+    return !coverage_.at(edge).open.empty();
+  }
+
   /// Shard merge: counters and fidelity stats sum (parallel Welford),
   /// the sketch merges by its own rule, busy coverage adds folded
   /// seconds and concatenates open windows. Exact when the shards
   /// simulated disjoint sim-time ranges or disjoint edges (the sharded
   /// engine's plan); both sides should be folded (busy_seconds queried
-  /// at their end times) first.
+  /// at their end times) first. Every merged edge counts as touched.
   void merge(const EdgeStats& other);
 
  private:
@@ -154,9 +177,22 @@ class EdgeStats {
     sim::SimTime busy = 0;  // union coverage over [0, folded_t]
   };
 
+  void touch(std::size_t edge) {
+    if (touched_flag_[edge] == 0) {
+      touched_flag_[edge] = 1;
+      touched_.push_back(edge);
+    }
+  }
+
   std::vector<EdgeCounters> edges_;
   std::vector<NodeCounters> nodes_;
   mutable std::vector<Coverage> coverage_;
+  /// Touched list and its per-edge membership flags. Draining it is
+  /// bookkeeping for the one reader, like folding coverage_, so it is
+  /// mutable too.
+  mutable std::vector<std::size_t> touched_;
+  mutable std::vector<std::uint8_t> touched_flag_;
+  mutable bool touched_claimed_ = false;
   SpaceSaving sketch_;
   std::uint64_t blocked_requests_ = 0;
   std::uint64_t deliveries_ = 0;

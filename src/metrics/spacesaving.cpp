@@ -11,17 +11,23 @@ SpaceSaving::SpaceSaving(std::size_t capacity) : capacity_(capacity) {
   }
 }
 
-std::map<std::uint64_t, SpaceSaving::Counter>::iterator
-SpaceSaving::min_counter() {
-  auto min_it = counters_.begin();
-  for (auto it = std::next(min_it); it != counters_.end(); ++it) {
-    // Strict < keeps the smallest key on ties: map iteration is key
-    // ascending, so the first minimum seen wins.
-    if (it->second.count < min_it->second.count) {
-      min_it = it;
+SpaceSaving::Entry* SpaceSaving::find(std::uint64_t key) {
+  for (Entry& slot : slots_) {
+    if (slot.key == key) return &slot;
+  }
+  return nullptr;
+}
+
+std::size_t SpaceSaving::min_slot() const {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < slots_.size(); ++i) {
+    const Entry& s = slots_[i];
+    const Entry& b = slots_[best];
+    if (s.count < b.count || (s.count == b.count && s.key < b.key)) {
+      best = i;
     }
   }
-  return min_it;
+  return best;
 }
 
 void SpaceSaving::add(std::uint64_t key, std::uint64_t weight) {
@@ -29,30 +35,24 @@ void SpaceSaving::add(std::uint64_t key, std::uint64_t weight) {
     return;
   }
   total_weight_ += weight;
-  auto it = counters_.find(key);
-  if (it != counters_.end()) {
-    it->second.count += weight;
+  if (Entry* slot = find(key)) {
+    slot->count += weight;
     return;
   }
-  if (counters_.size() < capacity_) {
-    counters_.emplace(key, Counter{weight, 0});
+  if (slots_.size() < capacity_) {
+    slots_.push_back(Entry{key, weight, 0});
     return;
   }
-  // Full: the new key replaces the minimum counter and inherits its
-  // count as the overestimation bound.
-  auto min_it = min_counter();
-  const std::uint64_t floor = min_it->second.count;
-  counters_.erase(min_it);
-  counters_.emplace(key, Counter{floor + weight, floor});
+  // Full: the new key takes over the minimum counter's slot and
+  // inherits its count as the overestimation bound.
+  Entry& min = slots_[min_slot()];
+  const std::uint64_t floor = min.count;
+  min = Entry{key, floor + weight, floor};
   ++evictions_;
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::top(std::size_t k) const {
-  std::vector<Entry> entries;
-  entries.reserve(counters_.size());
-  for (const auto& [key, counter] : counters_) {
-    entries.push_back(Entry{key, counter.count, counter.error});
-  }
+  std::vector<Entry> entries = slots_;
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) {
               if (a.count != b.count) return a.count > b.count;
@@ -65,37 +65,27 @@ std::vector<SpaceSaving::Entry> SpaceSaving::top(std::size_t k) const {
 }
 
 std::uint64_t SpaceSaving::count_bound(std::uint64_t key) const {
-  auto it = counters_.find(key);
-  if (it != counters_.end()) {
-    return it->second.count;
+  for (const Entry& slot : slots_) {
+    if (slot.key == key) return slot.count;
   }
-  std::uint64_t min_count = 0;
-  bool first = true;
-  for (const auto& [k, counter] : counters_) {
-    (void)k;
-    if (first || counter.count < min_count) {
-      min_count = counter.count;
-      first = false;
-    }
-  }
-  return first ? 0 : min_count;
+  return slots_.empty() ? 0 : slots_[min_slot()].count;
 }
 
 void SpaceSaving::truncate_to_capacity() {
-  while (counters_.size() > capacity_) {
-    counters_.erase(min_counter());
+  while (slots_.size() > capacity_) {
+    slots_[min_slot()] = slots_.back();
+    slots_.pop_back();
     ++evictions_;
   }
 }
 
 void SpaceSaving::merge(const SpaceSaving& other) {
-  for (const auto& [key, counter] : other.counters_) {
-    auto it = counters_.find(key);
-    if (it != counters_.end()) {
-      it->second.count += counter.count;
-      it->second.error += counter.error;
+  for (const Entry& theirs : other.slots_) {
+    if (Entry* slot = find(theirs.key)) {
+      slot->count += theirs.count;
+      slot->error += theirs.error;
     } else {
-      counters_.emplace(key, counter);
+      slots_.push_back(theirs);
     }
   }
   total_weight_ += other.total_weight_;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 /// \file spacesaving.hpp
@@ -44,8 +43,10 @@ class SpaceSaving {
 
   explicit SpaceSaving(std::size_t capacity);
 
-  /// O(log capacity): bump `key` by `weight`, evicting the minimum
-  /// counter when the key is untracked and the sketch is full.
+  /// O(capacity): one linear scan of the flat slot array for `key`,
+  /// plus a second scan for the minimum counter, which an untracked key
+  /// evicts once the sketch is full. No allocation after the sketch
+  /// first fills.
   void add(std::uint64_t key, std::uint64_t weight = 1);
 
   /// The tracked entries ranked by (count desc, key asc), at most
@@ -63,7 +64,7 @@ class SpaceSaving {
   /// capacity.
   void merge(const SpaceSaving& other);
 
-  std::size_t size() const noexcept { return counters_.size(); }
+  std::size_t size() const noexcept { return slots_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
   /// Total weight recorded (add + merge), independent of evictions.
   std::uint64_t total_weight() const noexcept { return total_weight_; }
@@ -72,18 +73,16 @@ class SpaceSaving {
   std::uint64_t evictions() const noexcept { return evictions_; }
 
  private:
-  struct Counter {
-    std::uint64_t count = 0;
-    std::uint64_t error = 0;
-  };
-
-  /// The tracked key with the minimum count (ties: smallest key).
-  std::map<std::uint64_t, Counter>::iterator min_counter();
+  /// The slot tracking `key`, or null.
+  Entry* find(std::uint64_t key);
+  /// Index of the slot with the minimum count (ties: smallest key).
+  std::size_t min_slot() const;
   void truncate_to_capacity();
 
   std::size_t capacity_;
-  /// key -> counter; std::map for deterministic iteration order.
-  std::map<std::uint64_t, Counter> counters_;
+  /// One slot per tracked key. Slot order is internal: every output
+  /// sorts or takes a minimum by (count, key), so it never shows.
+  std::vector<Entry> slots_;
   std::uint64_t total_weight_ = 0;
   std::uint64_t evictions_ = 0;
 };

@@ -18,25 +18,28 @@ NetState::NetState(const sim::Simulator& simulator,
   if (config_.interval <= 0) {
     throw std::invalid_argument("NetState: interval must be positive");
   }
+  stats_.claim_touched();
   start_t_ = sim_.now();
   last_t_ = start_t_;
-  prev_ = sample(start_t_);
-  start_busy_s_.reserve(prev_.size());
-  for (const EdgeSnap& s : prev_) start_busy_s_.push_back(s.busy_s);
+  // The baseline reads every edge, so edges touched before now are in
+  // it already.
+  stats_.take_touched(visit_);
+  const std::size_t edges = stats_.num_edges();
+  prev_.reserve(edges);
+  start_busy_s_.reserve(edges);
+  for (std::size_t e = 0; e < edges; ++e) {
+    prev_.push_back(sample(e, start_t_));
+    start_busy_s_.push_back(prev_.back().busy_s);
+    if (stats_.has_open_lease(e)) open_.push_back(e);
+  }
 }
 
-std::vector<NetState::EdgeSnap> NetState::sample(sim::SimTime t) const {
-  std::vector<EdgeSnap> snaps(stats_.num_edges());
-  for (std::size_t e = 0; e < snaps.size(); ++e) {
-    const metrics::EdgeStats::EdgeCounters& c = stats_.edge(e);
-    EdgeSnap& s = snaps[e];
-    s.busy_s = stats_.busy_seconds(e, t);
-    s.leases = c.leases;
-    s.blocked = c.blocked;
-    s.attempts = c.attempts;
-    s.deliveries = c.deliveries;
-  }
-  return snaps;
+NetState::~NetState() { stats_.release_touched(); }
+
+NetState::EdgeSnap NetState::sample(std::size_t edge, sim::SimTime t) const {
+  const metrics::EdgeStats::EdgeCounters& c = stats_.edge(edge);
+  return EdgeSnap{stats_.busy_seconds(edge, t), c.leases, c.blocked,
+                  c.attempts, c.deliveries};
 }
 
 void NetState::poll() {
@@ -49,7 +52,14 @@ void NetState::poll() {
 }
 
 void NetState::emit(sim::SimTime t) {
-  const std::vector<EdgeSnap> cur = sample(t);
+  // Only an edge a hook touched since the last record, or one whose
+  // lease window was still open after it, can differ from prev_.
+  stats_.take_touched(visit_);
+  visit_.insert(visit_.end(), open_.begin(), open_.end());
+  std::sort(visit_.begin(), visit_.end());
+  visit_.erase(std::unique(visit_.begin(), visit_.end()), visit_.end());
+  open_.clear();
+
   const sim::SimTime dt = t - last_t_;
   const double dt_s = sim::to_seconds(dt);
 
@@ -63,21 +73,27 @@ void NetState::emit(sim::SimTime t) {
   };
   std::vector<HotEdge> active;
   std::uint64_t leases = 0, blocked = 0, attempts = 0, deliveries = 0;
+  // Unvisited edges contribute util +0.0, and adding +0.0 leaves a
+  // double unchanged, so summing the visited edges in index order gives
+  // the full scan's util_sum bit for bit.
   double util_sum = 0.0, util_max = 0.0;
-  for (std::size_t e = 0; e < cur.size(); ++e) {
+  for (const std::size_t e : visit_) {
+    const EdgeSnap cur = sample(e, t);
+    EdgeSnap& prev = prev_[e];
+    if (stats_.has_open_lease(e)) open_.push_back(e);
     HotEdge h;
     h.edge = e;
     // busy is a union of windows clipped to the interval, so the ratio
     // is <= 1 up to double round-off: the two cumulative busy_s values
     // were converted separately, and their difference can exceed dt_s
     // by an ulp. Clamp so the emitted util is in [0, 1] exactly.
-    h.util = dt_s > 0.0
-                 ? std::min(1.0, (cur[e].busy_s - prev_[e].busy_s) / dt_s)
-                 : 0.0;
-    h.leases = cur[e].leases - prev_[e].leases;
-    h.blocked = cur[e].blocked - prev_[e].blocked;
-    h.attempts = cur[e].attempts - prev_[e].attempts;
-    h.deliveries = cur[e].deliveries - prev_[e].deliveries;
+    h.util = dt_s > 0.0 ? std::min(1.0, (cur.busy_s - prev.busy_s) / dt_s)
+                        : 0.0;
+    h.leases = cur.leases - prev.leases;
+    h.blocked = cur.blocked - prev.blocked;
+    h.attempts = cur.attempts - prev.attempts;
+    h.deliveries = cur.deliveries - prev.deliveries;
+    prev = cur;
     leases += h.leases;
     blocked += h.blocked;
     attempts += h.attempts;
@@ -117,9 +133,9 @@ void NetState::emit(sim::SimTime t) {
   out += ',';
   append_field(out, "deliveries", deliveries);
   out += ',';
+  const std::size_t edges = stats_.num_edges();
   append_field(out, "util_mean",
-               cur.empty() ? 0.0
-                           : util_sum / static_cast<double>(cur.size()));
+               edges == 0 ? 0.0 : util_sum / static_cast<double>(edges));
   out += ',';
   append_field(out, "util_max", util_max);
   out += ",\"hot\":[";
@@ -152,14 +168,12 @@ void NetState::emit(sim::SimTime t) {
   max_utilization_ = std::max(max_utilization_, util_max);
   ++intervals_;
   last_t_ = t;
-  prev_ = cur;
 }
 
 void NetState::finish() {
   if (finished_) return;
   const sim::SimTime now = sim_.now();
   if (now > last_t_) emit(now);
-  const std::vector<EdgeSnap> cur = sample(last_t_);
   const double elapsed_s = sim::to_seconds(last_t_ - start_t_);
 
   std::string& out = jsonl_;
@@ -175,9 +189,9 @@ void NetState::finish() {
   append_field(out, "intervals", intervals_);
 
   out += ",\"edges\":[";
-  for (std::size_t e = 0; e < cur.size(); ++e) {
+  for (std::size_t e = 0; e < stats_.num_edges(); ++e) {
     const metrics::EdgeStats::EdgeCounters& c = stats_.edge(e);
-    const double busy_s = cur[e].busy_s - start_busy_s_[e];
+    const double busy_s = stats_.busy_seconds(e, last_t_) - start_busy_s_[e];
     // Same ulp-level clamp as the interval path: coverage cannot
     // exceed elapsed sim time, but the double division can.
     const double util =

@@ -35,6 +35,12 @@
 /// sparse polls into a single record whose `dt` is the covered span;
 /// finish() flushes the trailing partial interval and appends a
 /// `"final": true` summary line.
+///
+/// Cost: a record visits only the edges EdgeStats reports touched since
+/// the last record plus the edges whose lease windows were still open
+/// after it; every other edge contributes exact zeros. Only the
+/// constructor and finish() read every edge. A NetState holds its
+/// EdgeStats' touched-edge feed, so each EdgeStats serves one NetState.
 
 namespace qlink::metrics {
 class Collector;
@@ -65,9 +71,13 @@ class NetState {
   /// sketch-backed ranking.
   static constexpr std::size_t kTopK = 8;
 
-  /// Throws std::invalid_argument when config.interval <= 0.
+  /// Throws std::invalid_argument when config.interval <= 0 and
+  /// std::logic_error when another NetState already samples `stats`.
   NetState(const sim::Simulator& simulator, const metrics::EdgeStats& stats,
            NetStateConfig config = {});
+  ~NetState();
+  NetState(const NetState&) = delete;
+  NetState& operator=(const NetState&) = delete;
 
   /// Adds request-level counters to the final record so the validator
   /// can reconcile the per-edge totals against the Collector's.
@@ -104,7 +114,7 @@ class NetState {
     std::uint64_t deliveries = 0;
   };
 
-  std::vector<EdgeSnap> sample(sim::SimTime t) const;
+  EdgeSnap sample(std::size_t edge, sim::SimTime t) const;
   /// One record covering (last_t_, t]; `t` must be > last_t_.
   void emit(sim::SimTime t);
 
@@ -116,7 +126,14 @@ class NetState {
 
   sim::SimTime start_t_ = 0;
   sim::SimTime last_t_ = 0;
+  /// Per-edge values at the last record that visited the edge; an
+  /// edge no record visited since has not changed.
   std::vector<EdgeSnap> prev_;
+  /// Edges whose lease windows were still open after the last fold,
+  /// ascending; the next record visits them with the touched edges.
+  std::vector<std::size_t> open_;
+  /// Scratch for the edges one record visits.
+  std::vector<std::size_t> visit_;
   /// Per-edge busy seconds at start_t_ (non-zero when the sampler
   /// attached mid-run): full-run utilization is measured from here.
   std::vector<double> start_busy_s_;

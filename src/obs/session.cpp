@@ -17,6 +17,9 @@ void Session::attach(routing::Router& router) {
   router_ = &router;
   swap_ = dynamic_cast<netlayer::SwapService*>(&router.plane());
   const routing::Graph& graph = router.graph();
+  // A NetState releases its EdgeStats' touched feed when destroyed, so
+  // a re-attach drops the old sampler before the EdgeStats it reads.
+  netstate_.reset();
   edge_stats_ = std::make_unique<metrics::EdgeStats>(graph.num_edges(),
                                                      graph.num_nodes());
   router.set_edge_stats(edge_stats_.get());

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "metrics/collector.hpp"
 #include "metrics/edge_stats.hpp"
 #include "metrics/spacesaving.hpp"
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
+#include "obs/json.hpp"
 #include "obs/netstate.hpp"
 #include "obs/report.hpp"
 #include "obs/session.hpp"
@@ -151,6 +156,155 @@ TEST(SpaceSaving, MergeTruncatesBackToCapacityDeterministically) {
   EXPECT_FALSE(a.exact());  // truncation dropped tracked keys
 }
 
+/// The std::map Space-Saving that the flat slot array replaced, kept
+/// as the reference its outputs must equal: eviction takes the minimum
+/// count with ties to the smallest key (map order), and the new key
+/// inherits the evicted count as its error.
+class MapSpaceSaving {
+ public:
+  explicit MapSpaceSaving(std::size_t capacity) : capacity_(capacity) {}
+
+  void add(std::uint64_t key, std::uint64_t weight) {
+    if (weight == 0) return;
+    total_weight_ += weight;
+    auto it = counters_.find(key);
+    if (it != counters_.end()) {
+      it->second.count += weight;
+      return;
+    }
+    if (counters_.size() < capacity_) {
+      counters_.emplace(key, Counter{weight, 0});
+      return;
+    }
+    auto min_it = min_counter();
+    const std::uint64_t floor = min_it->second.count;
+    counters_.erase(min_it);
+    counters_.emplace(key, Counter{floor + weight, floor});
+    ++evictions_;
+  }
+
+  std::vector<SpaceSaving::Entry> top(std::size_t k) const {
+    std::vector<SpaceSaving::Entry> entries;
+    for (const auto& [key, counter] : counters_) {
+      entries.push_back({key, counter.count, counter.error});
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const SpaceSaving::Entry& a, const SpaceSaving::Entry& b) {
+                if (a.count != b.count) return a.count > b.count;
+                return a.key < b.key;
+              });
+    if (entries.size() > k) entries.resize(k);
+    return entries;
+  }
+
+  std::uint64_t count_bound(std::uint64_t key) const {
+    const auto it = counters_.find(key);
+    if (it != counters_.end()) return it->second.count;
+    std::uint64_t min_count = 0;
+    bool first = true;
+    for (const auto& [k, counter] : counters_) {
+      if (first || counter.count < min_count) min_count = counter.count;
+      first = false;
+    }
+    return min_count;
+  }
+
+  void merge(const MapSpaceSaving& other) {
+    for (const auto& [key, counter] : other.counters_) {
+      auto it = counters_.find(key);
+      if (it != counters_.end()) {
+        it->second.count += counter.count;
+        it->second.error += counter.error;
+      } else {
+        counters_.emplace(key, counter);
+      }
+    }
+    total_weight_ += other.total_weight_;
+    evictions_ += other.evictions_;
+    while (counters_.size() > capacity_) {
+      counters_.erase(min_counter());
+      ++evictions_;
+    }
+  }
+
+  std::uint64_t total_weight() const { return total_weight_; }
+  std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  struct Counter {
+    std::uint64_t count = 0;
+    std::uint64_t error = 0;
+  };
+
+  std::map<std::uint64_t, Counter>::iterator min_counter() {
+    auto min_it = counters_.begin();
+    for (auto it = std::next(min_it); it != counters_.end(); ++it) {
+      if (it->second.count < min_it->second.count) min_it = it;
+    }
+    return min_it;
+  }
+
+  std::size_t capacity_;
+  std::map<std::uint64_t, Counter> counters_;
+  std::uint64_t total_weight_ = 0;
+  std::uint64_t evictions_ = 0;
+};
+
+/// Every observable of the sketch equals the reference's, for tracked
+/// and untracked keys alike.
+void expect_same_sketch(const SpaceSaving& flat, const MapSpaceSaving& ref,
+                        std::uint64_t key_range) {
+  const auto got = flat.top(flat.capacity());
+  const auto want = ref.top(flat.capacity());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "rank " << i;
+    EXPECT_EQ(got[i].count, want[i].count) << "rank " << i;
+    EXPECT_EQ(got[i].error, want[i].error) << "rank " << i;
+  }
+  for (std::uint64_t key = 0; key < key_range; ++key) {
+    EXPECT_EQ(flat.count_bound(key), ref.count_bound(key)) << "key " << key;
+  }
+  EXPECT_EQ(flat.evictions(), ref.evictions());
+  EXPECT_EQ(flat.total_weight(), ref.total_weight());
+}
+
+TEST(SpaceSaving, FlatSlotsMatchTheMapReferenceOnRandomStreams) {
+  // Few keys and weights 0-3 keep counts colliding, so nearly every
+  // eviction and truncation has to break a count tie by key.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    for (std::size_t capacity = 1; capacity <= 8; ++capacity) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " capacity " +
+                   std::to_string(capacity));
+      const std::uint64_t keys = 2 * capacity + 3;
+      SpaceSaving flat(capacity);
+      MapSpaceSaving ref(capacity);
+      for (int op = 0; op < 200; ++op) {
+        if (rng() % 16 == 0) {
+          SpaceSaving flat_other(capacity);
+          MapSpaceSaving ref_other(capacity);
+          for (int i = 0, n = static_cast<int>(rng() % 12); i < n; ++i) {
+            const std::uint64_t key = rng() % keys;
+            const std::uint64_t weight = rng() % 4;
+            flat_other.add(key, weight);
+            ref_other.add(key, weight);
+          }
+          flat.merge(flat_other);
+          ref.merge(ref_other);
+        } else {
+          const std::uint64_t key = rng() % keys;
+          const std::uint64_t weight = rng() % 4;
+          flat.add(key, weight);
+          ref.add(key, weight);
+        }
+        expect_same_sketch(flat, ref, keys + 1);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // EdgeStats: union lease coverage and counter accounting.
 
@@ -238,6 +392,219 @@ TEST(EdgeStats, MergeSumsCountersCoverageAndSketch) {
   EXPECT_DOUBLE_EQ(a.busy_seconds(0, sim::duration::seconds(6)), 3.0);
   EXPECT_TRUE(a.hot_edges().exact());
   EXPECT_EQ(a.hot_edges().total_weight(), 7u);  // 2 leases + 5 pairs
+}
+
+// ---------------------------------------------------------------------------
+// NetState visits only touched and open-lease edges: its records equal a
+// full scan over every edge.
+
+TEST(NetState, ASecondSamplerOnOneEdgeStatsThrows) {
+  // A second NetState would drain the first one's touched edges and
+  // silently zero its records.
+  sim::Simulator sim;
+  const EdgeStats stats(3, 3);
+  {
+    const NetState first(sim, stats);
+    EXPECT_THROW((NetState{sim, stats}), std::logic_error);
+  }
+  // The first one's destructor frees the feed.
+  EXPECT_NO_THROW((NetState{sim, stats}));
+}
+
+/// Drives one EdgeStats under a NetState and an identical twin, and
+/// checks each record's util_mean, util_max and hot list against a
+/// recomputation from busy_seconds() and the counters of every edge.
+class FullScanReference {
+ public:
+  static constexpr std::size_t kEdges = 6;
+
+  FullScanReference()
+      : sampled_(kEdges, kEdges), twin_(kEdges, kEdges),
+        prev_(kEdges) {}
+
+  /// Apply one hook sequence to both EdgeStats.
+  template <typename Hooks>
+  void hooks(Hooks&& apply) {
+    apply(sampled_);
+    apply(twin_);
+  }
+
+  void start_sampling() {
+    NetStateConfig nsc;
+    nsc.interval = sim::duration::seconds(1);
+    netstate_ = std::make_unique<NetState>(sim_, sampled_, nsc);
+    record_baseline(sim_.now());
+  }
+
+  void advance_to(double t_s) { sim_.run_until(sim::duration::seconds(t_s)); }
+
+  /// Advance to `t_s` seconds, poll, and check any new record.
+  void poll_at(double t_s) {
+    advance_to(t_s);
+    netstate_->poll();
+    check_new_records();
+  }
+
+  void finish() {
+    netstate_->finish();
+    check_new_records();
+  }
+
+  std::uint64_t checked() const { return checked_; }
+
+ private:
+  struct Snap {
+    double busy_s = 0.0;
+    std::uint64_t leases = 0, blocked = 0, attempts = 0, deliveries = 0;
+  };
+
+  Snap twin_snap(std::size_t e, sim::SimTime t) const {
+    const EdgeStats::EdgeCounters& c = twin_.edge(e);
+    return {twin_.busy_seconds(e, t), c.leases, c.blocked, c.attempts,
+            c.deliveries};
+  }
+
+  void record_baseline(sim::SimTime t) {
+    for (std::size_t e = 0; e < kEdges; ++e) prev_[e] = twin_snap(e, t);
+    last_t_ = t;
+  }
+
+  /// The util_mean..end of an interval record, as a full scan over every
+  /// edge writes it.
+  std::string expected_tail(sim::SimTime t) {
+    const double dt_s = sim::to_seconds(t - last_t_);
+    struct Hot {
+      std::size_t edge;
+      double util;
+      Snap delta;
+    };
+    std::vector<Hot> hot;
+    double util_sum = 0.0, util_max = 0.0;
+    for (std::size_t e = 0; e < kEdges; ++e) {
+      const Snap cur = twin_snap(e, t);
+      const Snap d{cur.busy_s - prev_[e].busy_s,
+                   cur.leases - prev_[e].leases,
+                   cur.blocked - prev_[e].blocked,
+                   cur.attempts - prev_[e].attempts,
+                   cur.deliveries - prev_[e].deliveries};
+      const double util = std::min(1.0, d.busy_s / dt_s);
+      util_sum += util;
+      util_max = std::max(util_max, util);
+      if (util > 0.0 || d.leases + d.blocked + d.attempts + d.deliveries > 0) {
+        hot.push_back({e, util, d});
+      }
+      prev_[e] = cur;
+    }
+    std::sort(hot.begin(), hot.end(), [](const Hot& a, const Hot& b) {
+      if (a.util != b.util) return a.util > b.util;
+      return a.edge < b.edge;
+    });
+    if (hot.size() > NetState::kTopK) hot.resize(NetState::kTopK);
+    last_t_ = t;
+
+    using json::append_field;
+    std::string out;
+    append_field(out, "util_mean", util_sum / static_cast<double>(kEdges));
+    out += ',';
+    append_field(out, "util_max", util_max);
+    out += ",\"hot\":[";
+    for (std::size_t i = 0; i < hot.size(); ++i) {
+      if (i > 0) out += ',';
+      out += '{';
+      append_field(out, "edge", static_cast<std::uint64_t>(hot[i].edge));
+      out += ',';
+      append_field(out, "util", hot[i].util);
+      out += ',';
+      append_field(out, "leases", hot[i].delta.leases);
+      out += ',';
+      append_field(out, "blocked", hot[i].delta.blocked);
+      out += ',';
+      append_field(out, "attempts", hot[i].delta.attempts);
+      out += ',';
+      append_field(out, "deliveries", hot[i].delta.deliveries);
+      out += '}';
+    }
+    out += "]}";
+    return out;
+  }
+
+  void check_new_records() {
+    const std::string& jsonl = netstate_->jsonl();
+    while (consumed_ < jsonl.size()) {
+      const std::size_t end = jsonl.find('\n', consumed_);
+      const std::string line = jsonl.substr(consumed_, end - consumed_);
+      consumed_ = end + 1;
+      if (line.find("\"final\":true") != std::string::npos) continue;
+      const std::size_t at = line.find("\"t\":");
+      ASSERT_NE(at, std::string::npos) << line;
+      const auto t =
+          static_cast<sim::SimTime>(std::stoll(line.substr(at + 4)));
+      const std::string tail = expected_tail(t);
+      ASSERT_GE(line.size(), tail.size()) << line;
+      EXPECT_EQ(line.substr(line.size() - tail.size()), tail)
+          << "record at t=" << t;
+      ++checked_;
+    }
+  }
+
+  sim::Simulator sim_;
+  EdgeStats sampled_;
+  EdgeStats twin_;
+  std::unique_ptr<NetState> netstate_;
+  std::vector<Snap> prev_;
+  sim::SimTime last_t_ = 0;
+  std::size_t consumed_ = 0;
+  std::uint64_t checked_ = 0;
+};
+
+TEST(NetState, TouchedEdgeRecordsEqualAFullScan) {
+  using sim::duration::milliseconds;
+  FullScanReference w;
+  // Leases placed before the sampler exists, as bench_admission's
+  // mid-run sessions see them: edge 0 holds one lease over three
+  // intervals with no hook call after placement; edge 1 books a window
+  // that starts after the next boundary; edge 2's lease is released
+  // early; edges 3 and 4 see a blocked arrival.
+  w.hooks([](EdgeStats& s) {
+    s.on_lease(0, 1, milliseconds(200), milliseconds(3700));
+    s.on_lease(1, 2, milliseconds(2600), milliseconds(4000));
+    s.on_lease(2, 3, milliseconds(200), milliseconds(9000));
+    const std::size_t footprint[] = {3, 4};
+    s.on_blocked(footprint);
+  });
+  w.advance_to(0.5);
+  w.start_sampling();
+  w.poll_at(0.7);
+  w.hooks([](EdgeStats& s) {
+    s.on_attempt(4, 3);
+    s.on_delivered_edge(5, 0.9);
+  });
+  w.poll_at(1.3);
+  w.hooks([](EdgeStats& s) { s.on_lease_release(2, 3, milliseconds(1300)); });
+  w.poll_at(1.4);
+  w.hooks([](EdgeStats& s) {
+    s.on_lease(3, 4, milliseconds(1400), milliseconds(1450));
+  });
+  w.poll_at(1.6);  // record (0.5, 1.5]
+  w.poll_at(2.6);  // record (1.5, 2.5]: only edge 0's open window moves
+  w.poll_at(3.6);  // the booked window on edge 1 is running
+  w.hooks([](EdgeStats& s) {
+    // A booked window placed now that starts two boundaries later.
+    s.on_lease(5, 5, milliseconds(5600), milliseconds(6100));
+    const std::size_t path[] = {4, 5};
+    s.on_admission_wait(path, 0.25);
+  });
+  w.poll_at(4.6);
+  w.poll_at(5.55);  // (4.5, 5.5]: no hook, only the booked window open
+  w.poll_at(7.9);   // one coalesced record over two intervals
+  w.hooks([](EdgeStats& s) {
+    s.on_lease(0, 6, milliseconds(7900), milliseconds(8000));
+    s.on_lease_release(0, 6, milliseconds(7950));
+  });
+  w.poll_at(8.6);
+  w.poll_at(9.6);  // (8.5, 9.5]: no activity at all
+  w.finish();      // the trailing partial interval
+  EXPECT_EQ(w.checked(), 9u);
 }
 
 // ---------------------------------------------------------------------------
