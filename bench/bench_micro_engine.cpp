@@ -1,7 +1,8 @@
 // Micro-benchmarks of the substrate hot paths: event scheduling (bare,
 // labeled, telemetered), the periodic timer, density-matrix operations,
-// the herald model, and a full protocol cycle. These bound the
-// simulation throughput reported in EXPERIMENTS.md.
+// the herald model, a full protocol cycle, and the routing layer's
+// k-shortest path search. These bound the simulation throughput
+// reported in EXPERIMENTS.md.
 //
 // Self-timed (no external benchmark library): each case runs batches of
 // its inner loop until `--min-seconds` of wall time accumulates, then
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -25,6 +27,8 @@
 #include "quantum/bell.hpp"
 #include "quantum/channels.hpp"
 #include "quantum/registry.hpp"
+#include "routing/graph.hpp"
+#include "routing/path_selector.hpp"
 #include "sim/simulator.hpp"
 
 using namespace qlink;
@@ -187,6 +191,34 @@ Row bench_protocol_millisecond(const Options& opt) {
                     elapsed);
 }
 
+Row bench_path_search(const Options& opt) {
+  // One island of the islands workload's dragonfly: 8 groups of 32
+  // routers, ~4k edges. Uncached Yen, k = 2, hop count, over a fixed
+  // seeded list of endpoint pairs; "ops" are searches.
+  const routing::Graph island = routing::Graph::dragonfly(8, 32);
+  const routing::PathSelector sel(island, routing::CostModel::kHopCount);
+  sim::Random rnd(opt.seed);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  const auto last = static_cast<std::int64_t>(island.num_nodes() - 1);
+  while (pairs.size() < 256) {
+    const auto src = static_cast<std::uint32_t>(rnd.uniform_int(0, last));
+    const auto dst = static_cast<std::uint32_t>(rnd.uniform_int(0, last));
+    if (src != dst) pairs.emplace_back(src, dst);
+  }
+  std::size_t next = 0;
+  std::size_t sink = 0;
+  Row row = time_case("path_search_dragonfly_island", opt.min_seconds, 256,
+                      [&](std::uint64_t n) {
+                        for (std::uint64_t i = 0; i < n; ++i) {
+                          const auto [src, dst] = pairs[next];
+                          next = (next + 1) % pairs.size();
+                          sink += sel.k_shortest(src, dst, 2).size();
+                        }
+                      });
+  if (sink == 0) std::printf("no paths\n");  // keep the loop observable
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -216,6 +248,7 @@ int main(int argc, char** argv) {
   h.add(bench_herald_compute(opt));
   h.add(bench_herald_cached(opt));
   h.add(bench_protocol_millisecond(opt));
+  h.add(bench_path_search(opt));
   h.write();
   return 0;
 }

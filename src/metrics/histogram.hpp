@@ -86,10 +86,14 @@ class Histogram {
   /// Interval delta (ISSUE 7): the samples recorded into *this but not
   /// yet into `earlier`, where `earlier` is a past snapshot of the same
   /// recorder (every counter of *this >= its counterpart — bins are
-  /// monotone, so element-wise subtraction is exact). The monitor uses
-  /// this to report per-interval percentiles; counts are clamped at 0
-  /// so a mismatched pair degrades rather than wraps.
+  /// monotone, so element-wise subtraction is exact); counts are
+  /// clamped at 0 so a mismatched pair degrades rather than wraps.
   Histogram delta_since(const Histogram& earlier) const;
+  /// delta_since(earlier).count() and .percentile(pct), read straight
+  /// off the two snapshots' bins without building the delta (the
+  /// monitor's per-interval columns).
+  std::uint64_t count_since(const Histogram& earlier) const;
+  double percentile_since(const Histogram& earlier, double pct) const;
 
   /// Lower edge of bin i (for reporting / tests).
   static double bin_lower(int i) {

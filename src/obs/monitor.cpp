@@ -18,20 +18,22 @@ namespace {
 /// Per-interval histogram delta: just the two fields a live reader
 /// needs (the full distribution stays in the end-of-run Snapshot).
 void append_hist_delta(std::string& out, const char* key,
-                       const metrics::Histogram& delta) {
+                       const metrics::Histogram& cur,
+                       const metrics::Histogram& prev) {
+  const std::uint64_t count = cur.count_since(prev);
   out += '"';
   out += key;
   out += "\":{";
-  append_field(out, "count", delta.count());
+  append_field(out, "count", count);
   out += ',';
-  append_field(out, "p99", delta.p99());
+  append_field(out, "p99", cur.percentile_since(prev, 99.0));
   out += ',';
-  // delta_since carries the stream-cumulative extremes (interval-local
-  // ones are not derivable from two snapshots) — exact even for values
-  // the bins clamped.
-  append_field(out, "min", delta.min());
+  // Stream-cumulative extremes, as Histogram::delta_since carries them
+  // (interval-local ones are not derivable from two snapshots) — exact
+  // even for values the bins clamped; 0 for an empty interval.
+  append_field(out, "min", count == 0 ? 0.0 : cur.min());
   out += ',';
-  append_field(out, "max", delta.max());
+  append_field(out, "max", count == 0 ? 0.0 : cur.max());
   out += '}';
 }
 
@@ -186,14 +188,14 @@ void Monitor::emit(sim::SimTime t) {
   out += ',';
   append_field(out, "oldest_open_age_s", oldest_age_s);
   out += ',';
-  append_hist_delta(out, "request_latency",
-                    cur.request_latency.delta_since(prev_.request_latency));
+  append_hist_delta(out, "request_latency", cur.request_latency,
+                    prev_.request_latency);
   out += ',';
-  append_hist_delta(out, "pair_latency",
-                    cur.pair_latency.delta_since(prev_.pair_latency));
+  append_hist_delta(out, "pair_latency", cur.pair_latency,
+                    prev_.pair_latency);
   out += ',';
-  append_hist_delta(out, "admission_wait",
-                    cur.admission_wait.delta_since(prev_.admission_wait));
+  append_hist_delta(out, "admission_wait", cur.admission_wait,
+                    prev_.admission_wait);
   if (router_ != nullptr) {
     out += ',';
     append_field(out, "submitted", cur.submitted - prev_.submitted);

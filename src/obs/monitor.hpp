@@ -17,8 +17,8 @@
 /// — counter *deltas* (deliveries, engine events, router outcomes),
 /// rate gauges (deliveries/s, events/s, admission backlog, heap depth),
 /// per-interval histogram deltas (count + p99 via
-/// Histogram::delta_since), and an ETA/progress estimate against a
-/// configured request target.
+/// Histogram::count_since / percentile_since), and an ETA/progress
+/// estimate against a configured request target.
 ///
 /// Same observation contract as the Tracer (ISSUE 6): the monitor is
 /// keyed by *simulation* time only, never schedules events, and never

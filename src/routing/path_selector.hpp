@@ -3,6 +3,7 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "routing/graph.hpp"
@@ -12,7 +13,10 @@
 ///
 /// A PathSelector turns a cost model into additive per-edge weights and
 /// computes the k cheapest simple paths (Yen's algorithm over
-/// deterministic Dijkstra). Three cost models ship:
+/// deterministic Dijkstra, pruned by lower bounds on each node's
+/// distance to the destination without changing which paths it
+/// returns; see DESIGN.md "Pruned Yen, same paths"). Three cost models
+/// ship:
 ///
 ///  - kHopCount: every edge costs 1 — classic shortest-path routing.
 ///  - kFidelity: edge weight -log w with w = (4F - 1)/3, the Werner
@@ -47,6 +51,9 @@ struct Path {
   std::uint32_t dst() const { return nodes.back(); }
 };
 
+/// Not thread-safe: every search reuses scratch the selector owns, so a
+/// selector serves one thread (routing::Router owns one per instance;
+/// sharded runs give each island its own Router).
 class PathSelector {
  public:
   explicit PathSelector(const Graph& graph,
@@ -55,8 +62,14 @@ class PathSelector {
   const Graph& graph() const noexcept { return graph_; }
   CostModel model() const noexcept { return model_; }
 
-  /// Additive weight of one edge under the active cost model.
-  double edge_weight(std::size_t edge) const;
+  /// Additive weight of one edge under the active cost model, as cached
+  /// by the last reweight().
+  double edge_weight(std::size_t edge) const { return weights_.at(edge); }
+
+  /// Recompute the cached edge weights from the graph's current params.
+  /// Searches read only the cache: call this after editing params or
+  /// adding edges.
+  void reweight();
 
   /// Cheapest path, or nullopt when src and dst are not connected.
   /// Throws std::invalid_argument for out-of-range ids or src == dst.
@@ -87,14 +100,47 @@ class PathSelector {
   static double estimated_latency_s(const Graph& graph, const Path& path);
 
  private:
-  std::optional<Path> dijkstra(std::uint32_t src, std::uint32_t dst,
-                               const std::vector<bool>& banned_nodes,
-                               const std::vector<bool>& banned_edges) const;
+  /// Ids marked by the current generation: clear() is O(1).
+  struct StampSet {
+    std::vector<std::uint32_t> stamp;
+    std::uint32_t gen = 1;
+    explicit StampSet(std::size_t n) : stamp(n, 0) {}
+    void clear();
+    void insert(std::size_t i) { stamp[i] = gen; }
+    bool contains(std::size_t i) const { return stamp[i] == gen; }
+  };
+
   std::vector<Path> yen(std::uint32_t src, std::uint32_t dst, std::size_t k,
-                        const std::vector<bool>& excluded) const;
+                        std::span<const std::size_t> excluded) const;
+  /// Fill lower_ with every node's distance to dst, avoiding the banned
+  /// edges (no node is banned).
+  void lower_bounds(std::uint32_t dst) const;
+  /// Search src -> dst over the unbanned graph, never pushing a node v
+  /// with d + lower_[v] > limit. Ordered: pops in (d, node id) order,
+  /// the order that fixes which of several equal-cost paths is found.
+  /// Otherwise A*: pops in (d + lower_, node id) order. Returns dst's
+  /// distance, or infinity when no path fits the limit.
+  double search(std::uint32_t src, std::uint32_t dst, double limit,
+                bool ordered) const;
+  /// The path plain Dijkstra finds from src to dst, given its `cost`:
+  /// an ordered search that prunes everything dearer than that cost.
+  Path ordered_path(std::uint32_t src, std::uint32_t dst,
+                    double cost) const;
 
   const Graph& graph_;
   CostModel model_;
+  std::vector<double> weights_;
+  bool uniform_weights_ = true;  // every edge weighs the same
+
+  // Search scratch, reused by every search.
+  mutable std::vector<double> dist_;
+  mutable std::vector<double> lower_;
+  mutable std::vector<std::size_t> via_edge_;
+  mutable std::vector<std::uint32_t> via_node_;
+  mutable std::vector<std::pair<double, std::uint32_t>> heap_;
+  mutable StampSet reached_;
+  mutable StampSet banned_nodes_;
+  mutable StampSet banned_edges_;
 };
 
 }  // namespace qlink::routing

@@ -95,6 +95,7 @@ void Router::annotate_from_network(std::span<const double> floor_menu) {
       }
     }
   }
+  selector_.reweight();
   path_cache_.clear();  // costs changed: cached candidates are stale
 }
 
@@ -126,6 +127,7 @@ void Router::refresh_annotations(const RefreshOptions& options) {
     params.fidelity =
         weight * *measured.fidelity + (1.0 - weight) * params.fidelity;
   }
+  selector_.reweight();
   // Fidelity-recovery signal for exclusion decay: an edge whose blended
   // estimate rose by >= kRecoveryMinGain since the previous refresh is
   // stamped recovered — exclusion entries older than the stamp are

@@ -93,10 +93,8 @@ struct RouterConfig {
   /// annotate_from_network / refresh_annotations rewrites the edge
   /// parameters. The selector is deterministic, so a cache hit returns
   /// byte-identical candidates — this cannot change a trajectory, only
-  /// skip recomputation. Off by default: callers that mutate
-  /// graph().params() directly between submissions (tests do) would
-  /// otherwise route on stale costs. Streaming workloads over big
-  /// topologies (bench_workload_scale) switch it on.
+  /// skip recomputation. Streaming workloads over big topologies
+  /// (bench_workload_scale) switch it on.
   bool cache_paths = false;
 };
 
@@ -222,11 +220,9 @@ class Router {
     on_error_ = std::move(fn);
   }
 
-  /// Mutable for cost-model parameters (fidelity/pair-time/floors; also
-  /// what annotate_from_network writes). Edge *capacities* were
-  /// snapshotted into the ReservationTable at construction — capacity
-  /// edits here do not change admission.
-  Graph& graph() noexcept { return graph_; }
+  /// Read-only: edge params change only through annotate_from_network
+  /// and refresh_annotations, which also reweight the selector (a
+  /// direct edit would leave it searching on stale weights).
   const Graph& graph() const noexcept { return graph_; }
   const PathSelector& selector() const noexcept { return selector_; }
   const ReservationTable& reservations() const noexcept {

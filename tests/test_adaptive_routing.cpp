@@ -277,5 +277,59 @@ TEST(AnnotationRefresh, BlendsMeasurementsAndDecaysWhenStale) {
               1e-12);
 }
 
+TEST(AnnotationRefresh, SelectorSearchesOnRewrittenParams) {
+  // Ring 0-1-2-3, endpoints 0 and 2: two 2-hop routes. At the graph's
+  // default params they tie and the tie-break takes 0-1-2, whose edge
+  // (1, 2) cannot run at the 0.7 floor (visibility 0.25).
+  routing::Graph ring = routing::Graph::ring(4);
+  const std::size_t dead = ring.find_edge(1, 2);
+  NetworkConfig nc =
+      routing::make_network_config(ring, core::LinkConfig{}, 5);
+  nc.link.scenario = hw::ScenarioParams::lab();
+  nc.configure_link = [dead](std::size_t link, core::LinkConfig& lc) {
+    if (link == dead) lc.scenario.herald.visibility = 0.25;
+  };
+  QuantumNetwork net(nc);
+  SwapService swap(net);
+  routing::RouterConfig rc;
+  rc.cost = routing::CostModel::kFidelity;
+  routing::Router router(ring, swap, rc);
+  // The Router's selector must route as a fresh one over the same
+  // params does.
+  const auto route = [&router] {
+    const auto paths = router.selector().k_shortest(0, 2, 1);
+    const auto fresh = routing::PathSelector(router.graph(),
+                                             routing::CostModel::kFidelity)
+                           .k_shortest(0, 2, 1);
+    EXPECT_TRUE(paths.size() == 1 && fresh.size() == 1 &&
+                paths[0].nodes == fresh[0].nodes);
+    return paths.empty() ? std::vector<std::uint32_t>{} : paths[0].nodes;
+  };
+  EXPECT_EQ(route(), (std::vector<std::uint32_t>{0, 1, 2}));
+
+  // Annotation marks the dead edge separable: the route turns to 0-3-2.
+  const double menu[] = {0.7};
+  router.annotate_from_network(menu);
+  ASSERT_DOUBLE_EQ(router.graph().params(dead).fidelity, 0.25);
+  EXPECT_EQ(route(), (std::vector<std::uint32_t>{0, 3, 2}));
+
+  // A fresh, perfect test-round record on the dead edge blends its
+  // fidelity to 1.0 (weight 0): the route turns back to 0-1-2.
+  core::FidelityEstimationUnit& feu = net.link(dead).egp_a().feu();
+  using quantum::gates::Basis;
+  for (const Basis basis : {Basis::kX, Basis::kY, Basis::kZ}) {
+    const bool equal = quantum::bell::ideal_outcomes_equal(
+        quantum::bell::BellState::kPsiPlus, basis);
+    for (int i = 0; i < 12; ++i) {
+      feu.record_test_round(basis, 0, equal ? 0 : 1, /*heralded=*/1);
+    }
+  }
+  routing::RefreshOptions options;
+  options.floor_menu = menu;
+  router.refresh_annotations(options);
+  ASSERT_NEAR(router.graph().params(dead).fidelity, 1.0, 1e-12);
+  EXPECT_EQ(route(), (std::vector<std::uint32_t>{0, 1, 2}));
+}
+
 }  // namespace
 }  // namespace qlink::netlayer

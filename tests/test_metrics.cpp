@@ -245,6 +245,27 @@ TEST(Histogram, DeltaSinceIsolatesTheNewSamples) {
   EXPECT_EQ(later.delta_since(later).count(), 0u);
 }
 
+TEST(Histogram, SinceReadsMatchTheBuiltDeltaExactly) {
+  Histogram earlier;
+  earlier.record(1e-12);  // underflow before the interval
+  for (int i = 1; i <= 100; ++i) earlier.record(1e-3 * i);
+  Histogram later = earlier;
+  later.record(2e-12);  // underflow inside it
+  for (int i = 1; i <= 37; ++i) later.record(0.5 + 7e-3 * i);
+  later.record(5e3);  // overflow
+  for (const Histogram* from : {&earlier, &later}) {
+    const Histogram delta = later.delta_since(*from);
+    EXPECT_EQ(later.count_since(*from), delta.count());
+    for (const double pct : {0.0, 1.0, 50.0, 99.0, 100.0}) {
+      // Bit-equal: the monitor's JSONL must not change by a digit.
+      EXPECT_EQ(later.percentile_since(*from, pct), delta.percentile(pct))
+          << "pct " << pct;
+    }
+  }
+  EXPECT_EQ(later.count_since(later), 0u);
+  EXPECT_EQ(later.percentile_since(later, 99.0), 0.0);
+}
+
 TEST(Histogram, ExactExtremesSurviveBinClamping) {
   Histogram h;
   EXPECT_EQ(h.min(), 0.0);  // RunningStat convention when empty

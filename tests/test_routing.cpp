@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <limits>
+#include <optional>
+#include <queue>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -190,6 +199,236 @@ TEST(PathSelector, LatencyModelAvoidsSlowLinks) {
   // Hop count would take the direct edge.
   const PathSelector hops(g, CostModel::kHopCount);
   EXPECT_EQ(hops.shortest(0, 2)->hops(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Exactness of the pruned Yen search against the plain one.
+
+/// The selector's cost-model weights, recomputed from the params.
+double reference_weight(const EdgeParams& p, CostModel model) {
+  switch (model) {
+    case CostModel::kHopCount:
+      return 1.0;
+    case CostModel::kFidelity:
+      return -std::log(std::max(1e-9, (4.0 * p.fidelity - 1.0) / 3.0));
+    case CostModel::kLatency:
+      return p.pair_time_s + p.delay_s;
+  }
+  return 1.0;
+}
+
+/// Plain Dijkstra, popping in (distance, node id) order: the unpruned
+/// search the selector must reproduce path for path.
+std::optional<Path> reference_dijkstra(const Graph& g,
+                                       const std::vector<double>& w,
+                                       std::uint32_t src, std::uint32_t dst,
+                                       const std::vector<bool>& banned_nodes,
+                                       const std::vector<bool>& banned_edges) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(g.num_nodes(), kInf);
+  std::vector<std::size_t> via_edge(g.num_nodes(), Graph::npos);
+  std::vector<std::uint32_t> via_node(g.num_nodes(), 0);
+  using Entry = std::pair<double, std::uint32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
+  dist[src] = 0.0;
+  frontier.emplace(0.0, src);
+  while (!frontier.empty()) {
+    const auto [d, u] = frontier.top();
+    frontier.pop();
+    if (d > dist[u]) continue;
+    if (u == dst) break;
+    for (const Graph::Adjacency& adj : g.neighbors(u)) {
+      if (banned_edges[adj.edge] || banned_nodes[adj.peer]) continue;
+      const double nd = d + w[adj.edge];
+      if (nd < dist[adj.peer]) {
+        dist[adj.peer] = nd;
+        via_edge[adj.peer] = adj.edge;
+        via_node[adj.peer] = u;
+        frontier.emplace(nd, adj.peer);
+      }
+    }
+  }
+  if (dist[dst] == kInf) return std::nullopt;
+  Path path;
+  path.cost = dist[dst];
+  for (std::uint32_t v = dst; v != src; v = via_node[v]) {
+    path.edges.push_back(via_edge[v]);
+    path.nodes.push_back(v);
+  }
+  path.nodes.push_back(src);
+  std::reverse(path.edges.begin(), path.edges.end());
+  std::reverse(path.nodes.begin(), path.nodes.end());
+  return path;
+}
+
+/// Yen's algorithm over reference_dijkstra, with no pruning at all.
+std::vector<Path> reference_yen(const Graph& g, CostModel model,
+                                std::uint32_t src, std::uint32_t dst,
+                                std::size_t k,
+                                const std::vector<std::size_t>& excluded) {
+  std::vector<double> w(g.num_edges());
+  for (std::size_t e = 0; e < w.size(); ++e) {
+    w[e] = reference_weight(g.params(e), model);
+  }
+  std::vector<bool> excluded_set(g.num_edges(), false);
+  for (const std::size_t e : excluded) excluded_set[e] = true;
+  std::vector<Path> found;
+  if (k == 0) return found;
+  auto first = reference_dijkstra(
+      g, w, src, dst, std::vector<bool>(g.num_nodes(), false), excluded_set);
+  if (!first) return found;
+  found.push_back(std::move(*first));
+  const auto path_less = [](const Path& a, const Path& b) {
+    if (a.cost != b.cost) return a.cost < b.cost;
+    return a.nodes < b.nodes;
+  };
+  std::vector<Path> candidates;
+  while (found.size() < k) {
+    const Path& prev = found.back();
+    for (std::size_t i = 0; i < prev.edges.size(); ++i) {
+      std::vector<bool> banned_nodes(g.num_nodes(), false);
+      std::vector<bool> banned_edges = excluded_set;
+      for (std::size_t j = 0; j < i; ++j) banned_nodes[prev.nodes[j]] = true;
+      for (const Path& p : found) {
+        if (p.edges.size() > i &&
+            std::equal(p.nodes.begin(), p.nodes.begin() + i + 1,
+                       prev.nodes.begin())) {
+          banned_edges[p.edges[i]] = true;
+        }
+      }
+      const auto spur = reference_dijkstra(g, w, prev.nodes[i], dst,
+                                           banned_nodes, banned_edges);
+      if (!spur) continue;
+      Path total;
+      total.nodes.assign(prev.nodes.begin(), prev.nodes.begin() + i);
+      total.edges.assign(prev.edges.begin(), prev.edges.begin() + i);
+      total.nodes.insert(total.nodes.end(), spur->nodes.begin(),
+                         spur->nodes.end());
+      total.edges.insert(total.edges.end(), spur->edges.begin(),
+                         spur->edges.end());
+      total.cost = spur->cost;
+      for (std::size_t j = 0; j < i; ++j) total.cost += w[prev.edges[j]];
+      const auto dup = [&](const Path& p) { return p.edges == total.edges; };
+      if (std::none_of(found.begin(), found.end(), dup) &&
+          std::none_of(candidates.begin(), candidates.end(), dup)) {
+        candidates.push_back(std::move(total));
+      }
+    }
+    if (candidates.empty()) break;
+    const auto best =
+        std::min_element(candidates.begin(), candidates.end(), path_less);
+    found.push_back(std::move(*best));
+    candidates.erase(best);
+  }
+  return found;
+}
+
+/// One of five topology families, sized for a fast reference search.
+Graph random_graph(std::mt19937_64& rng, std::size_t family) {
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  switch (family) {
+    case 0:
+      return Graph::grid(pick(2, 6), pick(2, 6));
+    case 1:
+      return Graph::ring(pick(3, 12));
+    case 2:
+      return Graph::torus(pick(3, 5), pick(3, 5));
+    case 3:
+      return Graph::dragonfly(pick(2, 5), pick(1, 4));
+    default: {  // G(n, p)
+      Graph g(pick(5, 36));
+      const double p = std::uniform_real_distribution<>(0.08, 0.4)(rng);
+      std::bernoulli_distribution coin(p);
+      for (std::uint32_t a = 0; a < g.num_nodes(); ++a) {
+        for (std::uint32_t b = a + 1; b < g.num_nodes(); ++b) {
+          if (coin(rng)) g.add_edge(a, b);
+        }
+      }
+      return g;
+    }
+  }
+}
+
+/// Either a few discrete values full of ties — fidelity 1.0 (weight
+/// 0), floored fidelities, zero pair time plus zero delay — or
+/// continuous values whose sums round differently by summation order.
+void randomize_params(std::mt19937_64& rng, Graph& g, bool ties) {
+  std::uniform_real_distribution<> unit(0.0, 1.0);
+  const auto choose = [&](std::initializer_list<double> values) {
+    return values.begin()[std::uniform_int_distribution<std::size_t>(
+        0, values.size() - 1)(rng)];
+  };
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    EdgeParams& p = g.params(e);
+    if (ties) {
+      p.fidelity = choose({1.0, 0.9, 0.8, 0.2});
+      p.pair_time_s = choose({0.0, 1e-3, 2e-3});
+      p.delay_s = choose({0.0, 0.0, 1e-3});
+    } else {
+      p.fidelity = 0.3 + 0.7 * unit(rng);
+      p.pair_time_s = 5e-3 * unit(rng);
+      p.delay_s = 1e-3 * unit(rng);
+    }
+  }
+}
+
+TEST(PathSelector, MatchesReferenceYenOnRandomGraphs) {
+  std::mt19937_64 rng(20191);
+  std::size_t queries = 0;
+  std::size_t multi_path = 0;  // queries returning >= 2 paths
+  for (std::size_t round = 0; round < 250; ++round) {
+    Graph g = random_graph(rng, round % 5);
+    randomize_params(rng, g, round % 2 == 0);
+    for (const CostModel model :
+         {CostModel::kHopCount, CostModel::kFidelity, CostModel::kLatency}) {
+      // One selector serves every query on the graph, as in a Router.
+      const PathSelector sel(g, model);
+      for (int q = 0; q < 8; ++q) {
+        std::uniform_int_distribution<std::uint32_t> node(
+            0, static_cast<std::uint32_t>(g.num_nodes() - 1));
+        const std::uint32_t src = node(rng);
+        std::uint32_t dst = node(rng);
+        if (dst == src) dst = (src + 1) % g.num_nodes();
+        const std::size_t k =
+            std::uniform_int_distribution<std::size_t>(1, 6)(rng);
+        std::vector<std::size_t> excluded;
+        if (g.num_edges() > 0 && rng() % 2 == 0) {
+          std::uniform_int_distribution<std::size_t> edge(
+              0, g.num_edges() - 1);
+          for (std::size_t n = rng() % 4; n > 0; --n) {
+            excluded.push_back(edge(rng));
+          }
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << "round " << round << " model "
+                     << cost_model_name(model) << " " << src << "->" << dst
+                     << " k=" << k << " excluded=" << excluded.size());
+        const auto want = reference_yen(g, model, src, dst, k, excluded);
+        const auto got = sel.k_shortest(src, dst, k, excluded);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          SCOPED_TRACE(::testing::Message() << "path " << i);
+          ASSERT_EQ(got[i].edges, want[i].edges);
+          ASSERT_EQ(got[i].nodes, want[i].nodes);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].cost),
+                    std::bit_cast<std::uint64_t>(want[i].cost));
+        }
+        if (excluded.empty()) {
+          const auto first = sel.shortest(src, dst);
+          ASSERT_EQ(first.has_value(), !want.empty());
+          if (first) {
+            ASSERT_EQ(first->edges, want.front().edges);
+          }
+        }
+        ++queries;
+        if (got.size() >= 2) ++multi_path;
+      }
+    }
+  }
+  EXPECT_EQ(queries, 250u * 3u * 8u);
+  EXPECT_GT(multi_path, queries / 2);  // the spur searches were exercised
 }
 
 TEST(ReservationTable, EdgeDisjointAdmission) {
