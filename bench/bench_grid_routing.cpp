@@ -235,7 +235,7 @@ double run_hetero(Harness& h, const Options& opt, routing::CostModel cost) {
   const routing::Graph grid = routing::Graph::grid(3, 3);
   // The staircase the hop-count tie-break walks from 0 to 8.
   std::vector<std::size_t> degraded;
-  for (const auto [a, b] :
+  for (const auto& [a, b] :
        {std::pair{0u, 1u}, {1u, 2u}, {2u, 5u}, {5u, 8u}}) {
     degraded.push_back(grid.find_edge(a, b));
   }

@@ -1,0 +1,947 @@
+// Paper reproduction: Section 6 and Appendix B, one scenario per table
+// or figure of the paper (DESIGN.md's experiment index gives each
+// scenario's claim and whether CI gates it).
+//
+// Usage: bench_paper [--scenario NAME[,NAME...]] [--json PATH|-]
+//   NAME is table1, table3, table5, fig6, fig7, fig8, fig9, sec62, appB,
+//   ablation-noise, ablation-multiplex or all (the default); scenarios
+//   run in that order. Each prints its table and adds its rows, keyed
+//   by "scenario" and "case", to BENCH_paper.json. fig7, fig9 and
+//   ablation-multiplex also add the shape scalars CI requires. Every
+//   scenario fixes its own seeds and none runs an observation session,
+//   so --seed and the observer flags are refused (exit 2).
+
+#include <algorithm>
+#include <cctype>
+#include <cstdio>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common.hpp"
+#include "core/feu.hpp"
+#include "hw/herald_model.hpp"
+#include "proto/mhp.hpp"
+#include "quantum/bell.hpp"
+#include "quantum/channels.hpp"
+#include "quantum/density_matrix.hpp"
+
+using namespace qlink;
+using namespace qlink::bench;
+using core::Priority;
+
+namespace {
+
+constexpr Priority kKinds[] = {Priority::kNetworkLayer, Priority::kCreateKeep,
+                               Priority::kMeasureDirectly};
+
+/// One single-link run: a Link driven by a WorkloadDriver.
+struct RunSpec {
+  hw::ScenarioParams scenario = hw::ScenarioParams::lab();
+  workload::WorkloadConfig workload;
+  core::SchedulerConfig scheduler;
+  double classical_loss = 0.0;
+  bool emission_multiplexing = true;
+  std::uint64_t seed = 1;
+  double simulated_seconds = 10.0;
+  /// When set, the run advances one simulated second at a time and
+  /// hands the collector to this after each.
+  std::function<void(const metrics::Collector&)> each_second;
+};
+
+struct RunResult {
+  metrics::Collector collector;
+  std::uint64_t dqp_retransmissions = 0;
+};
+
+RunResult run_scenario(const RunSpec& spec) {
+  core::LinkConfig link_cfg;
+  link_cfg.scenario = spec.scenario;
+  link_cfg.scenario.classical_loss_prob = spec.classical_loss;
+  link_cfg.seed = spec.seed;
+  link_cfg.scheduler = spec.scheduler;
+  link_cfg.emission_multiplexing = spec.emission_multiplexing;
+  core::Link link(link_cfg);
+
+  RunResult result;
+  const auto driver = workload::WorkloadDriver::for_link(
+      link, spec.workload.traffic(), spec.workload.tuning(), result.collector);
+  link.start();
+  driver->start();
+  if (spec.each_second) {
+    for (int s = 0; s < static_cast<int>(spec.simulated_seconds); ++s) {
+      link.run_for(sim::duration::seconds(1));
+      spec.each_second(result.collector);
+    }
+  } else {
+    link.run_for(sim::duration::seconds(spec.simulated_seconds));
+  }
+  driver->stop();
+  result.dqp_retransmissions = link.egp_a().queue().retransmissions() +
+                               link.egp_b().queue().retransmissions();
+  return result;
+}
+
+/// `kind` alone at load fraction `load` with k_max 3 (the workload's
+/// default random origins and F_min 0.64).
+RunSpec single_kind(const hw::ScenarioParams& scenario, Priority kind,
+                    double load) {
+  RunSpec spec;
+  spec.scenario = scenario;
+  workload::WorkloadConfig& wl = spec.workload;
+  (kind == Priority::kNetworkLayer ? wl.nl
+   : kind == Priority::kCreateKeep ? wl.ck
+                                   : wl.md) = {load, 3};
+  return spec;
+}
+
+/// Delivered fidelity of `kind`: from the QBER for MD, whose pairs are
+/// measured on delivery.
+double delivered_fidelity(const metrics::Collector& c, Priority kind) {
+  return kind == Priority::kMeasureDirectly
+             ? c.fidelity_from_qber().value_or(0.0)
+             : c.kind(kind).fidelity.mean();
+}
+
+const char* sched_name(core::SchedulerKind kind) {
+  return kind == core::SchedulerKind::kFcfs ? "FCFS" : "WFQ";
+}
+
+/// printf into a string: the labels of the "case" column.
+template <typename... Args>
+std::string format(const char* fmt, Args... args) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf, fmt, args...);
+  return buf;
+}
+
+/// A row of `scenario`, told apart from its siblings by `label`.
+Row entry(const char* scenario, const std::string& label) {
+  Row row;
+  row.text("scenario", scenario).text("case", label);
+  return row;
+}
+
+void table1(Harness& h, Row&) {
+  print_header(
+      "Table 1 -- T and SL under FCFS vs WFQ (QL2020, pairs 2/2/10)\n"
+      "(i) uniform f = 0.99/3 each; (ii) no NL, f_CK = 0.99/5, "
+      "f_MD = 0.99*4/5\n"
+      "mean and standard error over 4 seeded runs of 25 s");
+  h.columns({{"case", "pattern sched kind", -18},
+             {"t_per_s", "T (1/s)", 9},
+             {"t_se", "(se)", 7},
+             {"sl_s", "SL (s)", 9},
+             {"sl_se", "(se)", 7}});
+  for (const bool uniform : {true, false}) {
+    for (const auto kind :
+         {core::SchedulerKind::kFcfs, core::SchedulerKind::kWfq}) {
+      metrics::RunningStat t[3];
+      metrics::RunningStat sl[3];
+      for (std::uint64_t r = 0; r < 4; ++r) {
+        RunSpec spec;
+        spec.scenario = hw::ScenarioParams::ql2020();
+        spec.scheduler.kind = kind;
+        spec.scheduler.weights = {10.0, 1.0};  // "HigherWFQ", Appendix C.2
+        if (uniform) {
+          spec.workload.nl = {0.99 / 3.0, 2};
+          spec.workload.ck = {0.99 / 3.0, 2};
+          spec.workload.md = {0.99 / 3.0, 10};
+        } else {
+          spec.workload.ck = {0.99 / 5.0, 2};
+          spec.workload.md = {0.99 * 4.0 / 5.0, 10};
+        }
+        spec.workload.seed = 1000 + r;
+        spec.seed = 2000 + r;
+        spec.simulated_seconds = 25.0;
+        const RunResult result = run_scenario(spec);
+        for (const Priority p : kKinds) {
+          const auto k = static_cast<std::size_t>(p);
+          t[k].add(result.collector.throughput(p));
+          const auto& scaled = result.collector.kind(p).scaled_latency_s;
+          if (scaled.count() > 0) sl[k].add(scaled.mean());
+        }
+      }
+      for (const Priority p : kKinds) {
+        if (!uniform && p == Priority::kNetworkLayer) continue;
+        const auto k = static_cast<std::size_t>(p);
+        h.add(entry("table1", format("%s %s %s", uniform ? "(i)" : "(ii)",
+                                     sched_name(kind),
+                                     core::priority_name(p)))
+                  .num("t_per_s", t[k].mean(), 3)
+                  .num("t_se", t[k].stderr_mean(), 3)
+                  .num("sl_s", sl[k].mean(), 3)
+                  .num("sl_se", sl[k].stderr_mean(), 3));
+      }
+    }
+  }
+  std::printf(
+      "Expected shape (Table 1): WFQ cuts NL scaled latency hard and CK\n"
+      "moderately while MD's rises; throughput moves much less than\n"
+      "latency.\n");
+}
+
+void table3(Harness& h, Row&) {
+  print_header(
+      "Tables 3/4 -- mixed-priority scenarios\n"
+      "per kind: T (1/s), SL (s), RL (s); MD bursts capped at k_max 32");
+  h.columns({{"case", "scen pattern sched kind", -26},
+             {"t_per_s", "T (1/s)", 8},
+             {"sl_s", "SL (s)", 7},
+             {"rl_s", "RL (s)", 7}});
+  struct Scenario {
+    hw::ScenarioParams params;
+    std::vector<const char*> patterns;
+  };
+  const Scenario scenarios[] = {
+      {hw::ScenarioParams::lab(),
+       {"Uniform", "MoreNL", "MoreCK", "MoreMD", "NoNLMoreCK", "NoNLMoreMD"}},
+      {hw::ScenarioParams::ql2020(), {"Uniform", "MoreMD", "NoNLMoreMD"}}};
+  for (const Scenario& scenario : scenarios) {
+    for (const char* pattern : scenario.patterns) {
+      for (const auto kind :
+           {core::SchedulerKind::kFcfs, core::SchedulerKind::kWfq}) {
+        RunSpec spec;
+        spec.scenario = scenario.params;
+        spec.scheduler.kind = kind;
+        spec.scheduler.weights = {10.0, 1.0};
+        spec.workload = workload::usage_pattern(pattern, 0.99).config;
+        // The paper's mixed tables use k_max 3/3/256; 256 exceeds the
+        // queue's patience in short runs.
+        if (spec.workload.md.k_max > 32) spec.workload.md.k_max = 32;
+        spec.workload.origin = workload::OriginMode::kRandom;
+        spec.workload.min_fidelity = 0.64;
+        spec.workload.seed = 31;
+        spec.seed = 17;
+        spec.simulated_seconds = 20.0;
+        const RunResult result = run_scenario(spec);
+        for (const Priority p : kKinds) {
+          const auto& km = result.collector.kind(p);
+          if (km.requests_submitted == 0) continue;
+          h.add(entry("table3",
+                      format("%s %s %s %s", scenario.params.name.c_str(),
+                             pattern, sched_name(kind),
+                             core::priority_name(p)))
+                    .num("t_per_s", result.collector.throughput(p), 2)
+                    .num("sl_s", km.scaled_latency_s.mean(), 2)
+                    .num("rl_s", km.request_latency_s.mean(), 2));
+        }
+      }
+    }
+  }
+  std::printf(
+      "Expected shape (Tables 3/4): the dominant kind in each pattern\n"
+      "wins throughput; WFQ cuts NL (and usually CK) latency vs FCFS; Lab\n"
+      "K-type throughput is an order of magnitude above QL2020's.\n");
+}
+
+void table5(Harness& h, Row&) {
+  print_header(
+      "Table 5 / Section 6.1 -- robustness under classical frame loss\n"
+      "Max relative difference vs lossless baseline, over NL/CK/MD runs\n"
+      "(Lab, f = 0.99, k_max = 3). \"seed spread\" is the lossless run at\n"
+      "a second link seed. Any p_loss > 0 draws from the link's shared\n"
+      "stream and shifts every later draw much as a new seed does, so\n"
+      "differences up to that row's are noise, not loss.");
+  h.columns({{"case", "p_loss", -11},
+             {"rd_fidelity", "RD fid", 10},
+             {"rd_throughput", "RD thrpt", 10},
+             {"rd_latency", "RD laten", 10},
+             {"rd_pairs", "RD pairs", 10},
+             {"expires", "expires", 8},
+             {"retransmissions", "retrans", 8}});
+  const auto run = [](Priority kind, double loss, std::uint64_t seed) {
+    RunSpec spec = single_kind(hw::ScenarioParams::lab(), kind, 0.99);
+    spec.classical_loss = loss;
+    spec.workload.seed = 5;
+    spec.seed = seed;
+    spec.simulated_seconds = 15.0;
+    return run_scenario(spec);
+  };
+  std::vector<RunResult> baseline;
+  for (const Priority p : kKinds) baseline.push_back(run(p, 0.0, 9));
+
+  const auto add = [&](const std::string& label, double loss,
+                       std::uint64_t seed) {
+    double rd[4] = {};
+    std::uint64_t expires = 0;
+    std::uint64_t retransmissions = 0;
+    for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+      const Priority p = kKinds[i];
+      const RunResult now = run(p, loss, seed);
+      const metrics::Collector& a = now.collector;
+      const metrics::Collector& b = baseline[i].collector;
+      const double diffs[4] = {
+          metrics::relative_difference(delivered_fidelity(a, p),
+                                       delivered_fidelity(b, p)),
+          metrics::relative_difference(a.throughput(p), b.throughput(p)),
+          metrics::relative_difference(a.kind(p).scaled_latency_s.mean(),
+                                       b.kind(p).scaled_latency_s.mean()),
+          metrics::relative_difference(
+              static_cast<double>(a.kind(p).pairs_delivered),
+              static_cast<double>(b.kind(p).pairs_delivered))};
+      for (int j = 0; j < 4; ++j) rd[j] = std::max(rd[j], diffs[j]);
+      expires += a.total_expires();
+      retransmissions += now.dqp_retransmissions;
+    }
+    h.add(entry("table5", label)
+              .sci("p_loss", loss, 0)
+              .num("rd_fidelity", rd[0], 3)
+              .num("rd_throughput", rd[1], 3)
+              .num("rd_latency", rd[2], 3)
+              .num("rd_pairs", rd[3], 3)
+              .count("expires", expires)
+              .count("retransmissions", retransmissions));
+  };
+  add("seed spread", 0.0, 10);
+  for (const double loss : {1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3}) {
+    add(format("%.0e", loss), loss, 9);
+  }
+  std::printf(
+      "Expected shape (Table 5): fidelity/throughput/pair-count relative\n"
+      "differences stay in the few-percent range up to 1e-4 (latency is\n"
+      "noisier); recovery machinery (retransmissions, EXPIREs) engages as\n"
+      "loss grows but the service stays up.\n");
+}
+
+void fig6(Harness& h, Row&) {
+  const hw::ScenarioParams ql = hw::ScenarioParams::ql2020();
+  print_header(
+      "Figure 6(a) -- scaled latency vs load fraction f_P\n"
+      "QL2020, k_max = 3, F_min = 0.64, NL (K-type) and MD (M-type)");
+  h.columns({{"case", "f_P", -10},
+             {"nl_sl_s", "SL_NL (s)", 12},
+             {"nl_t_per_s", "T_NL (1/s)", 12},
+             {"md_sl_s", "SL_MD (s)", 12},
+             {"md_t_per_s", "T_MD (1/s)", 12}});
+  for (const double f : {0.7, 0.85, 0.99, 1.2, 1.5}) {
+    RunSpec nl = single_kind(ql, Priority::kNetworkLayer, f);
+    RunSpec md = single_kind(ql, Priority::kMeasureDirectly, f);
+    nl.simulated_seconds = md.simulated_seconds = 25.0;
+    nl.seed = md.seed = 101 + static_cast<std::uint64_t>(f * 100);
+    const RunResult rn = run_scenario(nl);
+    const RunResult rm = run_scenario(md);
+    h.add(entry("fig6", format("f_P=%.2f", f))
+              .num("nl_sl_s",
+                   rn.collector.kind(Priority::kNetworkLayer)
+                       .scaled_latency_s.mean(),
+                   3)
+              .num("nl_t_per_s",
+                   rn.collector.throughput(Priority::kNetworkLayer), 3)
+              .num("md_sl_s",
+                   rm.collector.kind(Priority::kMeasureDirectly)
+                       .scaled_latency_s.mean(),
+                   3)
+              .num("md_t_per_s",
+                   rm.collector.throughput(Priority::kMeasureDirectly), 3));
+  }
+  std::printf(
+      "Expected shape: latency grows steeply as f_P -> 1 and explodes\n"
+      "beyond it (overload); NL latencies far above MD (Fig. 6a).\n");
+
+  print_header(
+      "Figure 6(b,c) -- scaled latency and throughput vs F_min\n"
+      "QL2020, k_max = 3, f_P = 0.99; UNSUPP where the FEU finds F_min\n"
+      "infeasible");
+  h.columns({{"case", "F_min", -10},
+             {"nl_sl_s", "SL_NL (s)", 12},
+             {"md_sl_s", "SL_MD (s)", 12},
+             {"nl_t_per_s", "T_NL (1/s)", 12},
+             {"md_t_per_s", "T_MD (1/s)", 12},
+             {"md_alpha", "alpha(MD)", 12}});
+  const hw::HeraldModel model(ql.herald);
+  const core::FidelityEstimationUnit feu(model, ql);
+  for (const double fmin : {0.5, 0.55, 0.6, 0.64, 0.68, 0.72}) {
+    RunSpec nl = single_kind(ql, Priority::kNetworkLayer, 0.99);
+    RunSpec md = single_kind(ql, Priority::kMeasureDirectly, 0.99);
+    nl.workload.min_fidelity = md.workload.min_fidelity = fmin;
+    nl.simulated_seconds = md.simulated_seconds = 25.0;
+    nl.seed = md.seed = 202 + static_cast<std::uint64_t>(fmin * 100);
+    // The paper's "higher F_min not satisfiable" note (Fig. 6b): the
+    // K path runs out first, and no K run is made where M cannot run.
+    const auto advice_m = feu.advise(fmin, core::RequestType::kCreateMeasure);
+    const auto advice_k = feu.advise(fmin, core::RequestType::kCreateKeep);
+    Row row = entry("fig6", format("F_min=%.2f", fmin));
+    if (advice_m.feasible) {
+      const RunResult rm = run_scenario(md);
+      row.num("md_sl_s",
+              rm.collector.kind(Priority::kMeasureDirectly)
+                  .scaled_latency_s.mean(),
+              3)
+          .num("md_t_per_s",
+               rm.collector.throughput(Priority::kMeasureDirectly), 3)
+          .num("md_alpha", advice_m.alpha, 3);
+    } else {
+      row.text("md_sl_s", "UNSUPP").text("md_t_per_s", "UNSUPP");
+    }
+    if (advice_m.feasible && advice_k.feasible) {
+      const RunResult rn = run_scenario(nl);
+      row.num("nl_sl_s",
+              rn.collector.kind(Priority::kNetworkLayer)
+                  .scaled_latency_s.mean(),
+              3)
+          .num("nl_t_per_s",
+               rn.collector.throughput(Priority::kNetworkLayer), 3);
+    } else {
+      row.text("nl_sl_s", "UNSUPP").text("nl_t_per_s", "UNSUPP");
+    }
+    h.add(std::move(row));
+  }
+  std::printf(
+      "Expected shape: higher F_min -> smaller alpha -> lower p_succ ->\n"
+      "throughput falls ~linearly and latency rises; high F_min becomes\n"
+      "UNSUPP for the NL/K path first (Fig. 6b/c).\n");
+}
+
+void fig7(Harness& h, Row& summary) {
+  print_header(
+      "Figure 7 -- request latency vs time, FCFS vs strict-NL WFQ\n"
+      "Lab, f_NL = 0.99*4/5, f_CK = f_MD = 0.99*1/5, k_max = 3\n"
+      "per row: mean latency of the requests completing in that second");
+  struct Series {
+    std::vector<double> nl;  // per simulated second; < 0 = none completed
+    std::vector<double> md;
+    double nl_mean = 0.0;
+    double md_mean = 0.0;
+  };
+  const auto run = [](core::SchedulerKind kind) {
+    RunSpec spec;
+    spec.workload.nl = {0.99 * 4.0 / 5.0, 3};
+    spec.workload.ck = {0.99 * 1.0 / 5.0, 3};
+    spec.workload.md = {0.99 * 1.0 / 5.0, 3};
+    spec.seed = 77;
+    spec.scheduler.kind = kind;
+    spec.simulated_seconds = 30.0;
+    Series series;
+    metrics::RunningStat last_nl;
+    metrics::RunningStat last_md;
+    // Mean latency of the requests completing within one second: the
+    // difference of the running sums.
+    const auto bucket = [](metrics::RunningStat& last,
+                           const metrics::RunningStat& now) {
+      const double n = static_cast<double>(now.count() - last.count());
+      const double mean =
+          n <= 0 ? -1.0
+                 : (now.mean() * static_cast<double>(now.count()) -
+                    last.mean() * static_cast<double>(last.count())) /
+                       n;
+      last = now;
+      return mean;
+    };
+    spec.each_second = [&](const metrics::Collector& c) {
+      series.nl.push_back(
+          bucket(last_nl, c.kind(Priority::kNetworkLayer).request_latency_s));
+      series.md.push_back(bucket(
+          last_md, c.kind(Priority::kMeasureDirectly).request_latency_s));
+    };
+    const RunResult result = run_scenario(spec);
+    series.nl_mean =
+        result.collector.kind(Priority::kNetworkLayer).request_latency_s.mean();
+    series.md_mean = result.collector.kind(Priority::kMeasureDirectly)
+                         .request_latency_s.mean();
+    return series;
+  };
+  const Series fcfs = run(core::SchedulerKind::kFcfs);
+  const Series wfq = run(core::SchedulerKind::kWfq);
+
+  h.columns({{"case", "t (s)", -6},
+             {"fcfs_nl_s", "FCFS NL (s)", 12},
+             {"fcfs_md_s", "FCFS MD (s)", 12},
+             {"wfq_nl_s", "WFQ NL (s)", 12},
+             {"wfq_md_s", "WFQ MD (s)", 12}});
+  const auto add = [&h](const std::string& label, double fcfs_nl,
+                        double fcfs_md, double wfq_nl, double wfq_md) {
+    Row row = entry("fig7", label);
+    const std::pair<const char*, double> cells[] = {{"fcfs_nl_s", fcfs_nl},
+                                                    {"fcfs_md_s", fcfs_md},
+                                                    {"wfq_nl_s", wfq_nl},
+                                                    {"wfq_md_s", wfq_md}};
+    for (const auto& [key, value] : cells) {
+      if (value >= 0) row.num(key, value, 3);  // "-": none completed
+    }
+    h.add(std::move(row));
+  };
+  for (std::size_t s = 0; s < fcfs.nl.size(); s += 3) {
+    add(std::to_string(s), fcfs.nl[s], fcfs.md[s], wfq.nl[s], wfq.md[s]);
+  }
+  add("mean", fcfs.nl_mean, fcfs.md_mean, wfq.nl_mean, wfq.md_mean);
+  summary.num("fig7_wfq_nl_latency_gain", fcfs.nl_mean / wfq.nl_mean, 3);
+  std::printf(
+      "Expected shape: WFQ's strict NL priority lowers/caps NL latency\n"
+      "relative to FCFS at the cost of MD latency (Fig. 7);\n"
+      "fig7_wfq_nl_latency_gain is FCFS's mean NL latency over WFQ's.\n");
+}
+
+/// Fig 8's Monte-Carlo through the actual MHP/station stack at a fixed
+/// alpha: successes per attempt, and the fidelity reconstructed from
+/// QBER samples the way the hardware comparison does.
+struct MonteCarlo {
+  double p_succ = 0.0;
+  double fidelity_from_qber = 0.0;
+};
+
+MonteCarlo monte_carlo(double alpha, double seconds) {
+  sim::Simulator simulator;
+  sim::Random random(12345);
+  quantum::QuantumRegistry registry(random);
+  const hw::ScenarioParams sc = hw::ScenarioParams::lab();
+  hw::HeraldModel model(sc.herald);
+  hw::NvDevice dev_a(simulator, "a", sc.nv, registry);
+  hw::NvDevice dev_b(simulator, "b", sc.nv, registry);
+  net::ClassicalChannel chan_a(simulator, "a-h", sc.delay_a_to_station,
+                               random);
+  net::ClassicalChannel chan_b(simulator, "b-h", sc.delay_b_to_station,
+                               random);
+  proto::NodeMhp mhp_a(simulator, "mhp-a", 0, dev_a, chan_a, 0, sc.mhp_cycle);
+  proto::NodeMhp mhp_b(simulator, "mhp-b", 1, dev_b, chan_b, 0, sc.mhp_cycle);
+  proto::MidpointStation station(simulator, "h", model, random, chan_a, 1,
+                                 chan_b, 1, sc.mhp_cycle);
+
+  metrics::Collector collector;
+  // Both nodes must measure in the same (pre-agreed) basis: derive it
+  // from the shared cycle number, as the EGP's random strings would.
+  auto poll = [&simulator, &sc, alpha] {
+    proto::PollResponse r;
+    r.attempt = true;
+    r.aid = net::AbsoluteQueueId{0, 1};
+    r.measure_directly = true;
+    const auto cycle =
+        static_cast<std::uint64_t>(simulator.now() / sc.mhp_cycle);
+    r.basis = static_cast<quantum::gates::Basis>(cycle % 3);
+    r.alpha = alpha;
+    return r;
+  };
+  mhp_a.set_poll_handler(poll);
+  mhp_b.set_poll_handler(poll);
+
+  station.set_measure_sampler(
+      [&](int outcome, quantum::gates::Basis ba, quantum::gates::Basis bb,
+          double aa, double ab) {
+        const auto& dist = model.distribution(aa, ab);
+        quantum::DensityMatrix state =
+            outcome == 1 ? dist.post_psi_plus : dist.post_psi_minus;
+        const int q0[] = {0};
+        const int q1[] = {1};
+        state.apply_unitary(quantum::gates::basis_change(ba), q0);
+        state.apply_unitary(quantum::gates::basis_change(bb), q1);
+        const auto& m = state.matrix();
+        const double w[] = {m(0, 0).real(), m(1, 1).real(), m(2, 2).real(),
+                            m(3, 3).real()};
+        const auto joint = random.discrete(w);
+        return std::pair<int, int>{static_cast<int>(joint >> 1),
+                                   static_cast<int>(joint & 1)};
+      });
+
+  std::uint64_t attempts = 0;
+  std::uint64_t successes = 0;
+  mhp_a.set_result_handler([&](const proto::MhpResult& r) {
+    if (r.reply.error != net::MhpError::kNone) return;
+    ++attempts;
+    if (r.reply.outcome != 0) {
+      ++successes;
+      if (r.reply.m_outcome != 0xFF) {
+        collector.record_correlation(
+            static_cast<quantum::gates::Basis>(r.reply.m_basis),
+            r.reply.m_outcome, r.reply.m_outcome_peer, r.reply.outcome);
+      }
+    }
+  });
+  mhp_b.set_result_handler([](const proto::MhpResult&) {});
+
+  mhp_a.start();
+  mhp_b.start();
+  simulator.run_until(sim::duration::seconds(seconds));
+
+  MonteCarlo mc;
+  mc.p_succ = attempts == 0 ? 0.0
+                            : static_cast<double>(successes) /
+                                  static_cast<double>(attempts);
+  mc.fidelity_from_qber = collector.fidelity_from_qber().value_or(0.0);
+  return mc;
+}
+
+void fig8(Harness& h, Row&) {
+  print_header(
+      "Figure 8 / 10 -- model validation (Lab scenario)\n"
+      "model  : analytic herald pipeline (Appendix D.4-D.5)\n"
+      "mc     : Monte-Carlo through the full MHP stack, fidelity from QBER\n"
+      "theory : F = F0 (1-alpha), p_succ = 2 alpha p_det  (paper's guide)");
+  h.columns({{"case", "alpha", -7},
+             {"fidelity_model", "F(model)", 12},
+             {"fidelity_mc", "F(mc)", 12},
+             {"fidelity_theory", "F(theory)", 12},
+             {"p_succ_model", "psucc(model)", 14},
+             {"p_succ_mc", "psucc(mc)", 14},
+             {"p_succ_theory", "psucc(theory)", 14}});
+  const hw::HeraldModel model(hw::ScenarioParams::lab().herald);
+  // Calibrate the guide curve at alpha = 0.1 like the paper's plot.
+  const auto ref = model.compute(0.1, 0.1);
+  const double f0 = ref.fidelity_plus / 0.9;
+  const double p_det = ref.p_success() / (2.0 * 0.1);
+  for (const double alpha : {0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5}) {
+    const auto d = model.compute(alpha, alpha);
+    // Short MC for large alpha (plenty of successes), longer for small.
+    const MonteCarlo mc = monte_carlo(alpha, alpha < 0.1 ? 25.0 : 8.0);
+    h.add(entry("fig8", format("%.2f", alpha))
+              .num("fidelity_model",
+                   (d.fidelity_plus + d.fidelity_minus) / 2.0, 4)
+              .num("fidelity_mc", mc.fidelity_from_qber, 4)
+              .num("fidelity_theory", f0 * (1.0 - alpha), 4)
+              .sci("p_succ_model", d.p_success(), 3)
+              .sci("p_succ_mc", mc.p_succ, 3)
+              .sci("p_succ_theory", 2.0 * alpha * p_det, 3));
+  }
+  std::printf(
+      "Expected shape: F falls ~linearly with alpha; p_succ rises "
+      "~linearly;\nmodel, Monte-Carlo and theory agree (validation of "
+      "Fig. 8).\n");
+}
+
+void fig9(Harness& h, Row& summary) {
+  print_header(
+      "Figure 9 -- fidelity while waiting for classical communication\n"
+      "Perfect |Psi+> stored on one side; x axis: one-way distance the\n"
+      "control message travels (c_fiber = 206753 km/s).");
+  h.columns({{"case", "km", -8},
+             {"comm_fidelity", "comm (T2*=1ms)", 18},
+             {"memory_fidelity", "memory (3.5ms)", 14},
+             {"decoupled_fidelity", "decoupled (T2=1.46s)", 22}});
+  constexpr double kFiberKmPerS = 206753.0;
+  const hw::NvParams nv;
+  const auto stored_fidelity = [](double km, double t1, double t2) {
+    namespace bell = quantum::bell;
+    quantum::DensityMatrix rho = quantum::DensityMatrix::from_pure(
+        bell::state_vector(bell::BellState::kPsiPlus));
+    const int q0[] = {0};
+    rho.apply_kraus(quantum::channels::t1t2(km / kFiberKmPerS * 1e9, t1, t2),
+                    q0);
+    return bell::fidelity(rho, bell::BellState::kPsiPlus);
+  };
+  for (const int km :
+       {0, 5, 10, 25, 50, 100, 200, 500, 1000, 5000, 20000}) {
+    const Row& row = h.add(
+        entry("fig9", std::to_string(km))
+            .num("comm_fidelity",
+                 stored_fidelity(km, nv.electron_t1_ns, nv.electron_t2_ns), 4)
+            .num("memory_fidelity",
+                 stored_fidelity(km, nv.carbon_t1_ns, nv.carbon_t2_ns), 4)
+            .num("decoupled_fidelity", stored_fidelity(km, -1.0, 1.46e9), 4));
+    if (km == 1000) {
+      summary.num("fig9_memory_over_comm_fidelity_1000km",
+                  row.get("memory_fidelity") - row.get("comm_fidelity"), 4);
+    } else if (km == 20000) {
+      summary.num("fig9_decoupled_fidelity_20000km",
+                  row.get("decoupled_fidelity"), 4);
+    }
+  }
+  std::printf(
+      "Expected shape: the bare communication qubit dies within tens of\n"
+      "km; the memory qubit survives ~100 km; the decoupled qubit keeps\n"
+      "F > 0.9 over intercontinental distances (Fig. 9b).\n");
+}
+
+void sec62(Harness& h, Row&) {
+  print_header(
+      "Section 6.2 -- single-kind runs: fidelity / throughput / scaled\n"
+      "latency / mean queue length, per load (Low 0.7, High 0.99, "
+      "Ultra 1.5)");
+  h.columns({{"case", "scen kind load", -17},
+             {"fidelity", "F_avg", 8},
+             {"t_per_s", "T (1/s)", 10},
+             {"sl_s", "SL (s)", 10},
+             {"queue", "queue", 10},
+             {"pairs_delivered", "pairs", 8}});
+  struct Load {
+    const char* name;
+    double f;
+  };
+  const Load loads[] = {{"Low", 0.7}, {"High", 0.99}, {"Ultra", 1.5}};
+  const auto run_row = [&h](const hw::ScenarioParams& scenario,
+                            Priority kind, const Load& load) {
+    RunSpec spec = single_kind(scenario, kind, load.f);
+    spec.workload.seed = 3;
+    spec.seed = 13;
+    spec.simulated_seconds = 20.0;
+    const RunResult result = run_scenario(spec);
+    const auto& km = result.collector.kind(kind);
+    Row row = entry("sec62", format("%s %s %s", scenario.name.c_str(),
+                                    core::priority_name(kind), load.name));
+    row.num("fidelity", delivered_fidelity(result.collector, kind), 3)
+        .num("t_per_s", result.collector.throughput(kind), 3);
+    if (km.scaled_latency_s.count() > 0) {
+      row.num("sl_s", km.scaled_latency_s.mean(), 3);
+    }
+    h.add(row.num("queue", result.collector.queue_length().mean(), 1)
+              .count("pairs_delivered", km.pairs_delivered));
+  };
+  const hw::ScenarioParams lab = hw::ScenarioParams::lab();
+  const hw::ScenarioParams ql = hw::ScenarioParams::ql2020();
+  for (const Load& load : loads) {
+    for (const Priority kind : kKinds) run_row(lab, kind, load);
+  }
+  for (const Load& load : loads) {
+    for (const Priority kind :
+         {Priority::kNetworkLayer, Priority::kMeasureDirectly}) {
+      run_row(ql, kind, load);
+    }
+  }
+  std::printf(
+      "Expected shape (Section 6.2): F_avg roughly constant per scenario\n"
+      "and kind (fixed F_min); MD throughput slightly above NL/CK in Lab;\n"
+      "QL2020 K-type throughput ~14x below Lab; Ultra overloads (queue\n"
+      "grows, latency explodes) while High sits just below capacity.\n");
+
+  print_header(
+      "Section 6.2 fairness (Lab, MD, f = 0.99): per-origin metrics\n"
+      "RD pairs: all-B against all-A; random: origin A against B in-run");
+  h.columns({{"case", "origin", -17},
+             {"pairs_delivered", "pairs", 10},
+             {"sl_s", "SL (s)", 12},
+             {"rd_pairs", "RD pairs", 12}});
+  double pairs_a = 0.0;
+  for (const auto mode : {workload::OriginMode::kAllA,
+                          workload::OriginMode::kAllB,
+                          workload::OriginMode::kRandom}) {
+    RunSpec spec = single_kind(lab, Priority::kMeasureDirectly, 0.99);
+    spec.workload.origin = mode;
+    spec.workload.seed = 21;
+    spec.seed = 23;
+    spec.simulated_seconds = 20.0;
+    const RunResult result = run_scenario(spec);
+    const metrics::Collector& c = result.collector;
+    const auto& km = c.kind(Priority::kMeasureDirectly);
+    const double pairs = static_cast<double>(km.pairs_delivered);
+    Row row = entry("sec62", mode == workload::OriginMode::kAllA   ? "all-A"
+                             : mode == workload::OriginMode::kAllB ? "all-B"
+                                                                   : "random");
+    row.count("pairs_delivered", km.pairs_delivered);
+    if (km.scaled_latency_s.count() > 0) {
+      row.num("sl_s", km.scaled_latency_s.mean(), 3);
+    }
+    if (mode == workload::OriginMode::kAllA) {
+      pairs_a = pairs;
+    } else if (mode == workload::OriginMode::kAllB) {
+      row.num("rd_pairs", metrics::relative_difference(pairs_a, pairs), 3);
+    } else {
+      const auto origin_pairs = [&c](std::uint32_t origin) {
+        return static_cast<double>(
+            c.has_origin(origin) ? c.by_origin(origin).pairs_delivered : 0);
+      };
+      row.num("rd_pairs",
+              metrics::relative_difference(origin_pairs(0), origin_pairs(1)),
+              3);
+    }
+    h.add(std::move(row));
+  }
+  std::printf(
+      "Expected: pair counts and latencies roughly independent of the\n"
+      "origin (relative differences ~0.1 or below).\n");
+}
+
+void appB(Harness& h, Row&) {
+  print_header(
+      "Appendix B -- FEU test rounds: estimate vs true fidelity\n"
+      "Lab, K-type stream at F_min = 0.64; sweep test probability q");
+  h.columns({{"case", "q", -6},
+             {"tests", "tests", 10},
+             {"feu_estimate", "FEU est.", 12},
+             {"true_fidelity", "true F", 12},
+             {"t_per_s", "T (1/s)", 12}});
+  const double kSeconds = 30.0;
+  for (const double q : {0.0, 0.05, 0.1, 0.2, 0.4}) {
+    core::LinkConfig cfg;
+    cfg.scenario = hw::ScenarioParams::lab();
+    cfg.seed = 101;
+    cfg.test_round_probability = q;
+    core::Link link(cfg);
+
+    // Pair each OK at B with the latest at A to read the true state.
+    metrics::RunningStat true_f;
+    std::uint64_t delivered = 0;
+    std::vector<core::OkMessage> last_a;
+    link.egp_a().set_ok_handler(
+        [&](const core::OkMessage& ok) { last_a.push_back(ok); });
+    link.egp_b().set_ok_handler([&](const core::OkMessage& ok) {
+      if (last_a.empty()) return;
+      const core::OkMessage oa = last_a.back();
+      last_a.pop_back();
+      true_f.add(link.pair_fidelity(oa.qubit, ok.qubit));
+      ++delivered;
+      link.egp_a().release_delivered(oa);
+      link.egp_b().release_delivered(ok);
+    });
+    link.start();
+
+    // One long-lived K request stream.
+    core::CreateRequest r;
+    r.type = core::RequestType::kCreateKeep;
+    r.num_pairs = 10000;
+    r.min_fidelity = 0.64;
+    r.priority = core::Priority::kCreateKeep;
+    r.consecutive = true;
+    r.store_in_memory = true;
+    link.egp_a().create(r);
+    link.run_for(sim::duration::seconds(kSeconds));
+
+    Row row = entry("appB", format("%.2f", q));
+    row.count("tests", link.egp_a().stats().test_rounds);
+    if (const auto estimate =
+            link.egp_a().feu().estimated_fidelity_from_tests()) {
+      row.num("feu_estimate", *estimate, 4);
+    } else {
+      row.text("feu_estimate", "n/a");
+    }
+    h.add(row.num("true_fidelity", true_f.mean(), 4)
+              .num("t_per_s", static_cast<double>(delivered) / kSeconds, 3));
+  }
+  std::printf(
+      "Expected shape: with enough test rounds the FEU estimate tracks\n"
+      "the true delivered fidelity to a few percent, while throughput\n"
+      "drops roughly by the test fraction q.\n");
+}
+
+void ablation_noise(Harness& h, Row&) {
+  print_header(
+      "Ablation -- per-noise-source cost at alpha = 0.1 (Lab)\n"
+      "each row disables one mechanism; deltas vs the full model");
+  h.columns({{"case", "configuration", -26},
+             {"fidelity", "F", 10},
+             {"d_fidelity", "dF", 10},
+             {"p_succ", "p_succ", 12},
+             {"dp_percent", "dp/p (%)", 10}});
+  const double alpha = 0.1;
+  const hw::HeraldParams full = hw::ScenarioParams::lab().herald;
+  const auto base = hw::HeraldModel(full).compute(alpha, alpha);
+  struct Case {
+    const char* name;
+    hw::HeraldParams params;
+  };
+  Case cases[] = {
+      {"full model", full},           {"no two-photon emission", full},
+      {"no phase uncertainty", full}, {"perfect visibility", full},
+      {"no dark counts", full},       {"perfect detectors", full},
+      {"no fiber loss", full},
+  };
+  cases[1].params.p_double_excitation = 0.0;
+  cases[2].params.phase_sigma_rad_per_arm = 0.0;
+  cases[3].params.visibility = 1.0;
+  cases[4].params.dark_count_rate_hz = 0.0;
+  cases[5].params.detector_efficiency = 1.0;
+  cases[6].params.fiber_loss_db_per_km = 0.0;
+  for (const Case& c : cases) {
+    const auto d = hw::HeraldModel(c.params).compute(alpha, alpha);
+    h.add(entry("ablation-noise", c.name)
+              .num("fidelity", d.fidelity_plus, 4)
+              .num("d_fidelity", d.fidelity_plus - base.fidelity_plus, 4)
+              .sci("p_succ", d.p_success(), 3)
+              .num("dp_percent",
+                   100.0 * (d.p_success() - base.p_success()) /
+                       base.p_success(),
+                   1));
+  }
+  std::printf(
+      "Reading: visibility and two-photon emission dominate the fidelity\n"
+      "budget; detector efficiency and losses dominate the rate budget;\n"
+      "dark counts only matter at far smaller alpha.\n");
+}
+
+void ablation_multiplex(Harness& h, Row& summary) {
+  print_header(
+      "Ablation -- emission multiplexing for MD (Section 5.1.1)\n"
+      "MD stream at f = 0.99, F_min = 0.64; attempts per cycle vs one\n"
+      "outstanding attempt at a time");
+  h.columns({{"case", "scenario", -8},
+             {"t_multiplexed", "T multiplexed", 14},
+             {"t_blocking", "T blocking", 14},
+             {"gain", "gain", 8}});
+  for (const hw::ScenarioParams& scenario :
+       {hw::ScenarioParams::lab(), hw::ScenarioParams::ql2020()}) {
+    double t[2] = {};
+    for (const bool multiplex : {true, false}) {
+      RunSpec spec = single_kind(scenario, Priority::kMeasureDirectly, 0.99);
+      spec.emission_multiplexing = multiplex;
+      spec.seed = 404;
+      spec.simulated_seconds = 15.0;
+      t[multiplex ? 0 : 1] = run_scenario(spec).collector.throughput(
+          Priority::kMeasureDirectly);
+    }
+    const double gain = t[1] > 0 ? t[0] / t[1] : 0.0;
+    h.add(entry("ablation-multiplex", scenario.name)
+              .num("t_multiplexed", t[0], 3)
+              .num("t_blocking", t[1], 3)
+              .num("gain", gain, 1));
+    std::string key = "multiplex_gain_" + scenario.name;
+    for (char& ch : key) ch = static_cast<char>(std::tolower(ch));
+    summary.num(key.c_str(), gain, 3);
+  }
+  std::printf(
+      "Expected shape: ~1x in the Lab (REPLY returns within the cycle),\n"
+      "an order of magnitude on QL2020 (145 us round trip vs the 10.12 us\n"
+      "cycle) -- the reason Section 5.2.5 allows polling ahead of the\n"
+      "REPLY for the MD use case.\n");
+}
+
+struct Scenario {
+  const char* name;
+  void (*run)(Harness&, Row& summary);
+};
+
+constexpr Scenario kScenarios[] = {
+    {"table1", table1},
+    {"table3", table3},
+    {"table5", table5},
+    {"fig6", fig6},
+    {"fig7", fig7},
+    {"fig8", fig8},
+    {"fig9", fig9},
+    {"sec62", sec62},
+    {"appB", appB},
+    {"ablation-noise", ablation_noise},
+    {"ablation-multiplex", ablation_multiplex},
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bool chosen[std::size(kScenarios)] = {};
+  Harness h("paper");
+  h.args.json_only = true;
+  h.parse(argc, argv,
+          "[--scenario all|table1|table3|table5|fig6|fig7|fig8|fig9|sec62|"
+          "appB|ablation-noise|ablation-multiplex[,...]]",
+          [&](const std::string& arg, auto next) {
+            if (arg != "--scenario") return false;
+            const std::string_view list = next();
+            for (std::size_t at = 0; at <= list.size();) {
+              const std::size_t comma = std::min(list.find(',', at),
+                                                 list.size());
+              const std::string_view name = list.substr(at, comma - at);
+              bool known = name == "all";
+              for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
+                if (name == "all" || name == kScenarios[i].name) {
+                  chosen[i] = known = true;
+                }
+              }
+              if (!known) {
+                std::fprintf(stderr, "unknown scenario '%.*s'\n",
+                             static_cast<int>(name.size()), name.data());
+                return false;
+              }
+              at = comma + 1;
+            }
+            return true;
+          });
+  if (std::find(std::begin(chosen), std::end(chosen), true) ==
+      std::end(chosen)) {
+    std::fill(std::begin(chosen), std::end(chosen), true);
+  }
+
+  Row summary;
+  for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
+    if (chosen[i]) kScenarios[i].run(h, summary);
+  }
+  h.write(summary);
+  return 0;
+}

@@ -17,14 +17,9 @@
 #include "workload/workload.hpp"
 
 /// \file common.hpp
-/// What the bench binaries share.
-///
-/// The paper-reproduction benches (one table or figure of the paper
-/// each, see DESIGN.md's experiment index) run a Link + WorkloadDriver
-/// through run_scenario() and print their own tables.
-///
-/// The machine-readable benches (routing, admission, workload scale,
-/// chain scaling, micro-engine) hand everything but their scenarios to
+/// What the bench binaries share. Every bench (the paper scenarios of
+/// bench_paper --scenario ..., routing, admission, workload scale,
+/// chain scaling, micro-engine) hands everything but its scenarios to
 /// a Harness:
 ///
 ///   bench::Harness h("grid_routing", "Grid routing run report");
@@ -40,7 +35,8 @@
 ///   h.write(summary_row);
 ///
 /// Row/file contract:
-///  - A Row is an ordered list of keys, each rendered once. The JSON
+///  - A Row is an ordered list of keys, each rendered once (a key a
+///    table column names but the row lacks prints "-"). The JSON
 ///    file and the stdout table print the same rendered text, so a
 ///    field is written in exactly one place.
 ///  - --json PATH (default BENCH_<bench>.json; "-" disables) receives
@@ -99,9 +95,12 @@ class FlagValue {
   const Usage& usage_;
 };
 
-/// Shared command-line flags: every machine-readable bench accepts the
-/// same six flags with the same spelling and semantics.
+/// Shared command-line flags: every bench accepts the same six flags
+/// with the same spelling and semantics, or only --json when
+/// `json_only` (bench_paper, whose scenarios fix their seeds and
+/// observe nothing).
 struct Args {
+  bool json_only = false;
   std::uint64_t seed = 7;
   std::string json_path;      // "-" = no JSON file
   std::string trace_path;     // empty = tracing off
@@ -120,10 +119,12 @@ struct Args {
   bool consume(int argc, char** argv, int& i, const Usage& usage) {
     const std::string arg = argv[i];
     const FlagValue next(argc, argv, i, usage);
-    if (arg == "--seed") {
-      seed = next.u64();
-    } else if (arg == "--json") {
+    if (arg == "--json") {
       json_path = next();
+    } else if (json_only) {
+      return false;
+    } else if (arg == "--seed") {
+      seed = next.u64();
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--monitor") {
@@ -172,6 +173,13 @@ class Row {
   Row& num(const char* key, double value, int decimals) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
+    return add(key, buf, value);
+  }
+  /// Scientific notation with `digits` after the point, for values
+  /// that fixed-point would print as zeros.
+  Row& sci(const char* key, double value, int digits) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.*e", digits, value);
     return add(key, buf, value);
   }
   /// A pre-rendered JSON value (an object, null, ...).
@@ -237,9 +245,9 @@ class Row {
   std::vector<Field> fields_;
 };
 
-/// Everything a machine-readable bench main repeats: argument parsing,
-/// the stdout table, the observation-session streams, and every output
-/// file (see the file comment for the contract).
+/// Everything a bench main repeats: argument parsing, the stdout
+/// tables, the observation-session streams, and every output file (see
+/// the file comment for the contract).
 class Harness {
  public:
   /// One stdout table column: a row key, its header label, and printf
@@ -278,7 +286,7 @@ class Harness {
 
   [[noreturn]] void usage() const {
     std::fprintf(stderr, "usage: %s %s %s\n", argv0_.c_str(), usage_.c_str(),
-                 Args::kUsage);
+                 args.json_only ? "[--json PATH|-]" : Args::kUsage);
     std::exit(2);
   }
 
@@ -287,7 +295,8 @@ class Harness {
     return !args.trace_path.empty() && args.trace_path != "-";
   }
 
-  /// Declare the stdout table and print its header line.
+  /// Declare the stdout table and print its header line; a later call
+  /// starts the next table.
   void columns(std::vector<Column> columns) {
     columns_ = std::move(columns);
     for (const Column& c : columns_) std::printf("%*s ", c.width, c.label);
@@ -382,54 +391,6 @@ class Harness {
   std::uint64_t peak_backlog_ = 0;
   double max_utilization_ = 0.0;
 };
-
-struct RunSpec {
-  hw::ScenarioParams scenario = hw::ScenarioParams::lab();
-  workload::WorkloadConfig workload;
-  core::SchedulerConfig scheduler;
-  double classical_loss = 0.0;
-  std::uint64_t seed = 1;
-  double simulated_seconds = 10.0;
-  double test_round_probability = 0.0;
-};
-
-struct RunResult {
-  metrics::Collector collector;
-  core::Egp::Stats stats_a;
-  core::Egp::Stats stats_b;
-  double mean_heralded_fidelity = 0.0;
-  std::uint64_t dqp_retransmissions = 0;
-};
-
-inline RunResult run_scenario(const RunSpec& spec) {
-  core::LinkConfig link_cfg;
-  link_cfg.scenario = spec.scenario;
-  link_cfg.scenario.classical_loss_prob = spec.classical_loss;
-  link_cfg.seed = spec.seed;
-  link_cfg.scheduler = spec.scheduler;
-  link_cfg.test_round_probability = spec.test_round_probability;
-  core::Link link(link_cfg);
-
-  RunResult result;
-  auto driver_ptr = workload::WorkloadDriver::for_link(
-      link, spec.workload.traffic(), spec.workload.tuning(), result.collector);
-  workload::WorkloadDriver& driver = *driver_ptr;
-  link.start();
-  driver.start();
-  link.run_for(sim::duration::seconds(spec.simulated_seconds));
-  driver.stop();
-
-  result.stats_a = link.egp_a().stats();
-  result.stats_b = link.egp_b().stats();
-  result.mean_heralded_fidelity = link.station().mean_heralded_fidelity();
-  result.dqp_retransmissions = link.egp_a().queue().retransmissions() +
-                               link.egp_b().queue().retransmissions();
-  return result;
-}
-
-inline const char* kind_name(core::Priority p) {
-  return core::priority_name(p);
-}
 
 inline void print_header(const std::string& title) {
   std::printf("\n================================================================\n");

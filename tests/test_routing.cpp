@@ -142,7 +142,7 @@ TEST(PathSelector, FidelityModelPrefersCleanDetour) {
   EdgeParams clean;
   clean.fidelity = 0.9;
   Graph ring = Graph::ring(6, clean);
-  for (const auto [a, b] : {std::pair{0u, 1u}, {1u, 2u}, {2u, 3u}}) {
+  for (const auto& [a, b] : {std::pair{0u, 1u}, {1u, 2u}, {2u, 3u}}) {
     ring.params(ring.find_edge(a, b)).fidelity = 0.6;
   }
 

@@ -7,8 +7,8 @@ tolerance, so CI's bench-smoke job *fails* instead of merely uploading
 artifacts.
 
 Rows are matched by their identity keys (whichever of bench / hops /
-backend / scenario / topology / cost / mode / reroute_budget both sides
-carry). Three classes of values are compared, everything else is
+backend / scenario / case / topology / cost / mode / reroute_budget
+both sides carry; bench_paper tells a scenario's rows apart by "case"). Three classes of values are compared, everything else is
 informational:
 
   quality   keys containing "fidelity" or "completion" (except *_gain):
@@ -64,8 +64,8 @@ import os
 import sys
 import time
 
-IDENTITY_KEYS = ("bench", "hops", "backend", "scenario", "topology",
-                 "cost", "mode", "reroute_budget")
+IDENTITY_KEYS = ("bench", "hops", "backend", "scenario", "case",
+                 "topology", "cost", "mode", "reroute_budget")
 COUNT_KEYS = ("completed", "delivered", "pairs_delivered", "issued",
               "swaps")
 PERF_HIGHER_IS_WORSE = ("wall_seconds",)

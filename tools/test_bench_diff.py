@@ -170,6 +170,19 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("baseline row missing", out)
 
+    def test_case_key_tells_rows_apart(self):
+        # Two rows of one scenario differ only in "case": each must be
+        # gated against its own baseline row, not the last one read.
+        base = json.loads(json.dumps(BASE))
+        base["rows"] = [dict(BASE["rows"][0], case="a", mean_fidelity=0.9),
+                        dict(BASE["rows"][0], case="b", mean_fidelity=0.5)]
+        cur = json.loads(json.dumps(base))
+        cur["rows"][0]["mean_fidelity"] = 0.5
+        code, out = run_main([self.path("base.json", base),
+                              self.path("cur.json", cur)])
+        self.assertEqual(code, 1)
+        self.assertIn("case=a", out)
+
     # --- --require ----------------------------------------------------
 
     def test_require_pass_and_fail(self):
