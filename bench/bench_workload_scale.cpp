@@ -286,7 +286,8 @@ void run_scale(Harness& h, const Options& opt) {
   auto driver = workload::WorkloadDriver::for_routed(router, traffic,
                                                      tuning, collector);
 
-  // 16k edges per NetState record: sample once per simulated second.
+  // A NetState record visits only the touched and open-lease edges, not
+  // all 16k; one record per simulated second keeps the stream short.
   obs::Session session(collector, {.interval = sim::duration::seconds(1),
                                    .run = "scale"});
   session.attach(router);

@@ -134,32 +134,7 @@ sim::SimTime FlowPlane::sample_pair_time(const FlowCalibration::Entry& entry,
 std::uint32_t FlowPlane::submit(const E2eRequest& request,
                                 const std::vector<Hop>& route,
                                 std::span<const double> hop_floors) {
-  if (request.src == request.dst) {
-    throw std::invalid_argument("FlowPlane: src == dst");
-  }
-  if (route.empty()) {
-    throw std::invalid_argument("FlowPlane: empty route");
-  }
-  if (!hop_floors.empty() && hop_floors.size() != route.size()) {
-    throw std::invalid_argument(
-        "FlowPlane: hop_floors must match the route length");
-  }
-  std::uint32_t at = request.src;
-  for (const Hop& hop : route) {
-    if (hop.link >= edges_.size()) {
-      throw std::invalid_argument("FlowPlane: route names unknown link");
-    }
-    const auto [a, b] = edges_[hop.link];
-    const std::uint32_t entry_node = hop.reversed ? b : a;
-    const std::uint32_t exit_node = hop.reversed ? a : b;
-    if (entry_node != at) {
-      throw std::invalid_argument("FlowPlane: route is not contiguous");
-    }
-    at = exit_node;
-  }
-  if (at != request.dst) {
-    throw std::invalid_argument("FlowPlane: route does not end at dst");
-  }
+  validate_route(*this, "FlowPlane", request, route, hop_floors);
 
   const std::uint32_t id = next_request_id_++;
   ++stats_.requests;

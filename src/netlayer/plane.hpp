@@ -128,13 +128,12 @@ class EntanglementPlane {
   virtual std::pair<std::uint32_t, std::uint32_t> endpoints(
       std::size_t link) const = 0;
 
-  /// Submit over an explicit routed path. The route must be a
-  /// contiguous src -> dst walk over existing links
-  /// (std::invalid_argument otherwise). `hop_floors`, when non-empty,
-  /// carries one per-hop CREATE fidelity floor; entries > 0 override
-  /// the request's effective_link_floor() on that hop. Returns the
-  /// plane-scoped request id; deliveries arrive through the deliver
-  /// handler.
+  /// Submit over an explicit routed path. The route must pass
+  /// validate_route (std::invalid_argument otherwise). `hop_floors`,
+  /// when non-empty, carries one per-hop CREATE fidelity floor; entries
+  /// > 0 override the request's effective_link_floor() on that hop.
+  /// Returns the plane-scoped request id; deliveries arrive through the
+  /// deliver handler.
   virtual std::uint32_t submit(const E2eRequest& request,
                                const std::vector<Hop>& route,
                                std::span<const double> hop_floors = {}) = 0;
@@ -169,5 +168,14 @@ class EntanglementPlane {
   /// check.
   virtual QuantumNetwork* network() noexcept { return nullptr; }
 };
+
+/// The route contract every plane's submit() enforces before touching
+/// state: src != dst, a non-empty route over the plane's links that
+/// walks contiguously from src to dst without revisiting a node, and
+/// `hop_floors` empty or one entry per hop. Throws
+/// std::invalid_argument, its message prefixed with \p who, otherwise.
+void validate_route(const EntanglementPlane& plane, const char* who,
+                    const E2eRequest& request, const std::vector<Hop>& route,
+                    std::span<const double> hop_floors);
 
 }  // namespace qlink::netlayer

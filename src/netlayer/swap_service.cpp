@@ -1,7 +1,5 @@
 #include "netlayer/swap_service.hpp"
 
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "metrics/edge_stats.hpp"
@@ -71,47 +69,7 @@ core::Link::TestRoundEstimate SwapService::measured_estimate(
 std::uint32_t SwapService::request(const E2eRequest& request,
                                    const std::vector<Hop>& route,
                                    std::span<const double> hop_floors) {
-  if (request.src == request.dst) {
-    throw std::invalid_argument("SwapService: src == dst");
-  }
-  if (route.empty()) {
-    throw std::invalid_argument("SwapService: empty route");
-  }
-  if (!hop_floors.empty() && hop_floors.size() != route.size()) {
-    throw std::invalid_argument(
-        "SwapService: hop_floors must match the route length");
-  }
-  for (const Hop& hop : route) {
-    if (hop.link >= net_.num_links()) {
-      throw std::invalid_argument("SwapService: route names unknown link");
-    }
-  }
-  if (net_.hop_entry(route.front()) != request.src ||
-      net_.hop_exit(route.back()) != request.dst) {
-    throw std::invalid_argument(
-        "SwapService: route does not join the request's endpoints");
-  }
-  for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    if (net_.hop_exit(route[i]) != net_.hop_entry(route[i + 1])) {
-      throw std::invalid_argument("SwapService: route is not contiguous");
-    }
-  }
-  // Simple walks only: a route revisiting a node (and so possibly a
-  // link) would run concurrent CREATEs over one physical link for one
-  // request — a state the swap cascade was never designed for.
-  std::vector<std::uint32_t> visited;
-  visited.reserve(route.size() + 1);
-  for (const Hop& hop : route) visited.push_back(net_.hop_entry(hop));
-  visited.push_back(request.dst);
-  for (std::size_t i = 0; i < visited.size(); ++i) {
-    for (std::size_t j = i + 1; j < visited.size(); ++j) {
-      if (visited[i] == visited[j]) {
-        throw std::invalid_argument(
-            "SwapService: route revisits node " +
-            std::to_string(visited[i]));
-      }
-    }
-  }
+  validate_route(*this, "SwapService", request, route, hop_floors);
 
   RequestState rs;
   rs.id = next_request_id_++;

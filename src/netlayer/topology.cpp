@@ -91,7 +91,11 @@ QuantumNetwork::QuantumNetwork(const NetworkConfig& config)
   links_.reserve(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
     core::LinkConfig lc = config_.link;
-    lc.label = "[" + std::to_string(i) + "]";
+    // Appended piecewise: GCC 12 reports a false -Wrestrict for a
+    // string literal joined to or assigned into a std::string here.
+    lc.label.assign(1, '[');
+    lc.label += std::to_string(i);
+    lc.label += ']';
     lc.node_id_a = edges[i].first;
     lc.node_id_b = edges[i].second;
     if (config_.configure_link) config_.configure_link(i, lc);

@@ -87,17 +87,13 @@ void ShardedEngine::connect(std::size_t from, std::size_t to,
         std::to_string(min_delay) + " < " + std::to_string(kMinLookahead) +
         " ns); the coupling is too tight for conservative rounds");
   }
-  auto& slot = couplings_[from * sims_.size() + to];
-  if (!slot) slot = std::make_unique<Coupling>(config_.ring_capacity);
-  if (slot->min_delay == 0 || min_delay < slot->min_delay) {
-    slot->min_delay = min_delay;
-  }
+  Coupling& c = coupling(from, to);
+  if (c.min_delay == 0 || min_delay < c.min_delay) c.min_delay = min_delay;
 }
 
 SimTime ShardedEngine::lookahead(std::size_t from, std::size_t to) const {
   if (from >= sims_.size() || to >= sims_.size() || from == to) return 0;
-  const Coupling* c = coupling(from, to);
-  return c == nullptr ? 0 : c->min_delay;
+  return coupling(from, to).min_delay;
 }
 
 void ShardedEngine::post(std::size_t from, std::size_t to, SimTime at,
@@ -110,45 +106,31 @@ void ShardedEngine::post(std::size_t from, std::size_t to, SimTime at,
         "ShardedEngine::post: same-shard post; use sim(shard).schedule_at");
   }
   if (!fn) throw std::invalid_argument("ShardedEngine::post: empty function");
-  Coupling* c = coupling(from, to);
-  if (c == nullptr || c->min_delay == 0) {
+  Coupling& c = coupling(from, to);
+  if (c.min_delay == 0) {
     throw std::logic_error(
         "ShardedEngine::post: shards not connected; call connect() first");
   }
   // The lookahead contract: `to` may already have run past our clock by
   // up to min_delay - 1, so anything closer could land in its past.
-  if (at < sims_[from]->now() + c->min_delay) {
+  if (at < sims_[from]->now() + c.min_delay) {
     throw std::invalid_argument(
         "ShardedEngine::post: time under the lookahead floor");
   }
-  posted_.fetch_add(1, std::memory_order_relaxed);
-  CrossEvent ev{at, label, std::move(fn)};
-  if (!c->spilled && c->ring.try_push(std::move(ev))) return;
-  ring_overflows_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(c->overflow_mutex);
-  c->spilled = true;
-  c->overflow.push_back(std::move(ev));
+  ++c.posted;
+  c.outbox.push_back(CrossEvent{at, label, std::move(fn)});
 }
 
 void ShardedEngine::drain_all() {
   const std::size_t s = sims_.size();
   for (std::size_t from = 0; from < s; ++from) {
     for (std::size_t to = 0; to < s; ++to) {
-      Coupling* c = coupling(from, to);
-      if (c == nullptr) continue;
-      stats_.ring_high_water = std::max(stats_.ring_high_water, c->ring.size());
-      CrossEvent ev;
-      while (c->ring.try_pop(ev)) {
-        ++stats_.drained;
-        sims_[to]->schedule_at(ev.at, std::move(ev.fn), ev.label);
-      }
-      std::lock_guard<std::mutex> lock(c->overflow_mutex);
-      for (CrossEvent& e : c->overflow) {
-        ++stats_.drained;
+      std::vector<CrossEvent>& outbox = coupling(from, to).outbox;
+      for (CrossEvent& e : outbox) {
         sims_[to]->schedule_at(e.at, std::move(e.fn), e.label);
       }
-      c->overflow.clear();
-      c->spilled = false;
+      stats_.drained += outbox.size();
+      outbox.clear();
     }
   }
 }
@@ -162,6 +144,7 @@ void ShardedEngine::run_until(SimTime t) {
   }
   drain_all();  // posts made outside a round (setup code)
   std::vector<SimTime> bound(s);
+  std::vector<SimTime> next(s);  // each shard's next_event_time this round
   std::vector<std::size_t> work;
   work.reserve(s);
   for (;;) {
@@ -179,44 +162,38 @@ void ShardedEngine::run_until(SimTime t) {
     for (std::size_t to = 0; to < s; ++to) {
       SimTime b = t;
       for (std::size_t from = 0; from < s; ++from) {
-        const Coupling* c = from == to ? nullptr : coupling(from, to);
-        if (c == nullptr || c->min_delay == 0) continue;
-        b = std::min(b, sims_[from]->now() + c->min_delay - 1);
+        const SimTime d = coupling(from, to).min_delay;
+        if (d != 0) b = std::min(b, sims_[from]->now() + d - 1);
       }
       bound[to] = std::max(b, sims_[to]->now());
+      next[to] = sims_[to]->next_event_time();
     }
 
+    // The shards with a runnable event under their bound.
+    const auto collect_work = [&] {
+      work.clear();
+      for (std::size_t i = 0; i < s; ++i) {
+        if (next[i] != Simulator::kNoEventTime && next[i] <= bound[i]) {
+          work.push_back(i);
+        }
+      }
+    };
+    collect_work();
     // If no shard can execute anything under its bound, fast-forward to
     // the globally earliest pending event: handlers are the only source
     // of new events, and none can run before that time.
-    bool any_event = false;
-    for (std::size_t i = 0; i < s; ++i) {
-      const SimTime ne = sims_[i]->next_event_time();
-      if (ne != Simulator::kNoEventTime && ne <= bound[i]) {
-        any_event = true;
-        break;
-      }
-    }
-    if (!any_event) {
+    if (work.empty()) {
       SimTime target = t;
-      for (std::size_t i = 0; i < s; ++i) {
-        const SimTime ne = sims_[i]->next_event_time();
-        if (ne != Simulator::kNoEventTime) target = std::min(target, ne);
-      }
+      for (std::size_t i = 0; i < s; ++i) target = std::min(target, next[i]);
       ++stats_.idle_jumps;
       for (std::size_t i = 0; i < s; ++i) {
         bound[i] = std::max(sims_[i]->now(), target);
       }
-    }
-
-    work.clear();
-    for (std::size_t i = 0; i < s; ++i) {
-      const SimTime ne = sims_[i]->next_event_time();
-      if (ne != Simulator::kNoEventTime && ne <= bound[i]) work.push_back(i);
+      collect_work();
     }
 
     // Shards share nothing within a round (cross-shard sends buffer in
-    // the rings), so threaded execution matches sequential execution
+    // the outboxes), so threaded execution matches sequential execution
     // state-for-state.
     if (threads_ && work.size() > 1) {
       ++stats_.parallel_rounds;
@@ -248,8 +225,7 @@ SimTime ShardedEngine::now() const {
 
 ShardedEngine::Stats ShardedEngine::stats() const {
   Stats out = stats_;
-  out.posted = posted_.load(std::memory_order_relaxed);
-  out.ring_overflows = ring_overflows_.load(std::memory_order_relaxed);
+  for (const Coupling& c : couplings_) out.posted += c.posted;
   return out;
 }
 

@@ -1,21 +1,19 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "sim/shard_ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 /// \file sharded_engine.hpp
 /// Conservative parallel discrete-event engine: one Simulator per shard,
-/// cross-shard events over SPSC rings, channel delays as lookahead.
+/// cross-shard events through per-coupling outboxes, channel delays as
+/// lookahead.
 ///
 /// The network is partitioned into shards that interact only through
 /// classical channels with a known minimum delay D. That delay is the
@@ -24,18 +22,19 @@
 /// before c + D, so `to` may safely run to min over incoming couplings
 /// of (c_from + D − 1). The engine advances all shards round by round:
 ///
-///   drain rings → compute per-shard bounds → run each shard to its
-///   bound (in threads when enabled) → drain rings → repeat
+///   drain outboxes → compute per-shard bounds → run each shard to its
+///   bound (in threads when enabled) → drain outboxes → repeat
 ///
 /// Within a round shards share nothing: cross-shard sends go through
-/// ShardedEngine::post, which enqueues on a per-(from,to) SPSC ring; the
-/// engine drains rings only at the barrier between rounds, in fixed
-/// (from, to)-lexicographic order, FIFO within each ring. Because of
-/// that, parallel execution is *identical* to running the shards
-/// sequentially in shard order — determinism is per (seed, shard
-/// count), independent of thread interleaving. With one shard the
-/// engine is a pass-through to the single Simulator, byte-identical to
-/// pre-sharding behaviour.
+/// ShardedEngine::post, which appends to the per-(from,to) outbox. Each
+/// outbox has a single writer (the thread running `from`) and is read
+/// only at the barrier, after every shard thread has joined, so it needs
+/// no lock. The engine drains outboxes in fixed (from, to)-lexicographic
+/// order, FIFO within each outbox. Because of that, parallel execution
+/// is *identical* to running the shards sequentially in shard order —
+/// determinism is per (seed, shard count), independent of thread
+/// interleaving. With one shard the engine is a pass-through to the
+/// single Simulator, byte-identical to pre-sharding behaviour.
 ///
 /// When no shard has a runnable event under its bound, the engine
 /// fast-forwards every clock to the globally earliest pending event
@@ -91,9 +90,6 @@ class ShardedEngine {
 
   struct Config {
     std::size_t num_shards = 1;
-    /// Per-(from,to) ring capacity; overflow degrades to a locked slow
-    /// path, never drops or reorders.
-    std::size_t ring_capacity = 1024;
     Parallel parallel = Parallel::kAuto;
   };
 
@@ -104,8 +100,9 @@ class ShardedEngine {
                                        ///< next global event
     std::uint64_t posted = 0;          ///< cross-shard events posted
     std::uint64_t drained = 0;         ///< cross-shard events delivered
-    std::uint64_t ring_overflows = 0;  ///< posts that hit the slow path
-    std::size_t ring_high_water = 0;   ///< deepest any ring got
+    /// Always 0: outboxes grow without bound, so no post takes a slow
+    /// path. Kept because benches report it.
+    std::uint64_t ring_overflows = 0;
   };
 
   /// Couplings tighter than this cannot make progress (a round must
@@ -177,39 +174,34 @@ class ShardedEngine {
     std::function<void()> fn;
   };
 
-  struct Coupling {
-    explicit Coupling(std::size_t ring_capacity) : ring(ring_capacity) {}
-    SimTime min_delay = 0;
-    SpscRing<CrossEvent> ring;
-    std::mutex overflow_mutex;
-    std::vector<CrossEvent> overflow;
-    /// Producer-side: once a push overflows, later pushes must follow it
-    /// into the overflow list until the next drain, or FIFO breaks.
-    bool spilled = false;
+  /// One directional (from, to) channel. Only the thread running shard
+  /// `from` writes `outbox` and `posted`, and only between barriers; the
+  /// engine reads them at the barrier, after that thread has joined.
+  /// One cache line each: shard threads post to neighbouring couplings
+  /// concurrently.
+  struct alignas(64) Coupling {
+    SimTime min_delay = 0;  ///< 0 = not connected
+    std::vector<CrossEvent> outbox;
+    std::uint64_t posted = 0;
   };
 
-  Coupling* coupling(std::size_t from, std::size_t to) noexcept {
-    return couplings_[from * sims_.size() + to].get();
+  Coupling& coupling(std::size_t from, std::size_t to) noexcept {
+    return couplings_[from * sims_.size() + to];
   }
-  const Coupling* coupling(std::size_t from, std::size_t to) const noexcept {
-    return couplings_[from * sims_.size() + to].get();
+  const Coupling& coupling(std::size_t from, std::size_t to) const noexcept {
+    return couplings_[from * sims_.size() + to];
   }
 
-  /// Deliver every ring + overflow entry to its target simulator, in
-  /// (from, to)-lexicographic order, FIFO within a ring. Caller must be
-  /// at a barrier (no shard threads running).
+  /// Deliver every outbox entry to its target simulator, in
+  /// (from, to)-lexicographic order, FIFO within an outbox. Caller must
+  /// be at a barrier (no shard threads running).
   void drain_all();
 
   Config config_;
   bool threads_ = false;
   std::vector<std::unique_ptr<Simulator>> sims_;
-  std::vector<std::unique_ptr<Coupling>> couplings_;  // num_shards^2, lazy
-
-  Stats stats_;
-  // post() runs on shard threads; everything else in Stats is
-  // barrier-side only.
-  std::atomic<std::uint64_t> posted_{0};
-  std::atomic<std::uint64_t> ring_overflows_{0};
+  std::vector<Coupling> couplings_;  // num_shards^2, row-major by `from`
+  Stats stats_;  // barrier-side counters; `posted` lives in the couplings
 };
 
 inline Simulator& EngineRef::sim() const {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "netlayer/flow_plane.hpp"
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
 #include "routing/router.hpp"
@@ -361,35 +364,59 @@ TEST(SwapService, RoutedFiveHopPathBackendsAgree) {
               bell.records.front().fidelity, 1e-6);
 }
 
-/// Route validation: garbage routes are rejected before any CREATE.
-TEST(SwapService, RejectsMalformedRoutes) {
+/// Route validation: garbage routes are rejected before any CREATE, by
+/// the full-detail and the flow-level plane alike.
+enum class PlaneKind { kSwap, kFlow };
+
+class PlaneRoutes : public ::testing::TestWithParam<PlaneKind> {};
+
+TEST_P(PlaneRoutes, RejectsMalformedRoutes) {
+  // Both planes span the chain 0 - 1 - 2 - 3.
   QuantumNetwork net(chain_config(3, 1));
   SwapService swap(net);
+  FlowPlaneConfig fc;
+  fc.edges = {{0, 1}, {1, 2}, {2, 3}};
+  FlowPlane flow(std::move(fc));
+  const bool full = GetParam() == PlaneKind::kSwap;
+  EntanglementPlane& plane = full ? static_cast<EntanglementPlane&>(swap)
+                                  : static_cast<EntanglementPlane&>(flow);
   E2eRequest req;
   req.src = 0;
   req.dst = 3;
-  EXPECT_THROW(swap.request(req, {}), std::invalid_argument);
+  EXPECT_THROW(plane.submit(req, {}), std::invalid_argument);
   // Not contiguous: skips link 1.
-  EXPECT_THROW(swap.request(req, {Hop{0, false}, Hop{2, false}}),
+  EXPECT_THROW(plane.submit(req, {Hop{0, false}, Hop{2, false}}),
                std::invalid_argument);
   // Wrong endpoints.
-  EXPECT_THROW(swap.request(req, {Hop{1, false}, Hop{2, false}}),
+  EXPECT_THROW(plane.submit(req, {Hop{1, false}, Hop{2, false}}),
                std::invalid_argument);
   // Unknown link.
-  EXPECT_THROW(swap.request(req, {Hop{7, false}}), std::invalid_argument);
+  EXPECT_THROW(plane.submit(req, {Hop{7, false}}), std::invalid_argument);
   // A walk that revisits a node (here: 0 -> 1 -> 0 -> 1 -> ... is
   // caught at its first revisit) would double-book a physical link.
   EXPECT_THROW(
-      swap.request(req, {Hop{0, false}, Hop{0, true}, Hop{0, false},
+      plane.submit(req, {Hop{0, false}, Hop{0, true}, Hop{0, false},
                          Hop{1, false}, Hop{2, false}}),
       std::invalid_argument);
+  // One floor per hop, or none.
+  const double floors[] = {0.7, 0.7};
+  EXPECT_THROW(plane.submit(req, net.path(0, 3), floors),
+               std::invalid_argument);
   // src == dst is meaningless end-to-end entanglement.
   E2eRequest self = req;
   self.dst = 0;
-  EXPECT_THROW(swap.request(self, {Hop{0, false}, Hop{0, true}}),
+  EXPECT_THROW(plane.submit(self, {Hop{0, false}, Hop{0, true}}),
                std::invalid_argument);
-  EXPECT_EQ(swap.stats().requests, 0u);
+  EXPECT_EQ(full ? swap.stats().requests : flow.stats().requests, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(BothPlanes, PlaneRoutes,
+                         ::testing::Values(PlaneKind::kSwap, PlaneKind::kFlow),
+                         [](const auto& info) {
+                           return info.param == PlaneKind::kSwap
+                                      ? std::string("SwapService")
+                                      : std::string("FlowPlane");
+                         });
 
 // ---------------------------------------------------------------------------
 // Router integration: reservations gate admission on the live network.

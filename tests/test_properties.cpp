@@ -279,7 +279,9 @@ TEST_P(DistillP, ImprovesAboveHalfAndStaysInRange) {
   const double out = quantum::protocols::bbpssw_output_fidelity(f);
   EXPECT_GE(out, 0.0);
   EXPECT_LE(out, 1.0);
-  if (f > 0.5 && f < 1.0) EXPECT_GT(out, f);
+  if (f > 0.5 && f < 1.0) {
+    EXPECT_GT(out, f);
+  }
   const double p = quantum::protocols::bbpssw_success_probability(f);
   EXPECT_GT(p, 0.0);
   EXPECT_LE(p, 1.0);

@@ -1,47 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/shard_ring.hpp"
 #include "sim/sharded_engine.hpp"
 
 namespace qlink::sim {
 namespace {
-
-// ---------------------------------------------------------------------
-// SpscRing
-// ---------------------------------------------------------------------
-
-TEST(SpscRing, FifoAcrossWraparound) {
-  SpscRing<int> ring(4);
-  int out = 0;
-  EXPECT_FALSE(ring.try_pop(out));
-  // Push/pop more than the capacity so head/tail wrap.
-  int next_in = 0, next_out = 0;
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 3; ++i) EXPECT_TRUE(ring.try_push(next_in++));
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(ring.try_pop(out));
-      EXPECT_EQ(out, next_out++);
-    }
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, RejectsPushWhenFull) {
-  SpscRing<int> ring(3);  // rounds up to 4 slots
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(int{i}));
-  EXPECT_FALSE(ring.try_push(99));
-  EXPECT_EQ(ring.size(), 4u);
-  int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(ring.try_push(4));  // slot freed
-}
 
 // ---------------------------------------------------------------------
 // ShardAssignment
@@ -247,28 +214,78 @@ TEST(ShardedEngine, IdleJumpFastForwardsQuietStretches) {
   EXPECT_LT(stats.rounds, 100u);
 }
 
-TEST(ShardedEngine, RingOverflowKeepsFifoAndCounts) {
+/// One shard-0 event posts a 2,500-event burst in one round: every post
+/// is delivered, FIFO, and threads change nothing.
+std::vector<int> burst(ShardedEngine::Parallel mode) {
+  constexpr int kBurst = 2500;
   ShardedEngine::Config cfg;
   cfg.num_shards = 2;
-  cfg.ring_capacity = 2;
-  cfg.parallel = ShardedEngine::Parallel::kOff;
+  cfg.parallel = mode;
   ShardedEngine engine(cfg);
   engine.connect(0, 1, 2);
+  engine.connect(1, 0, 2);
   std::vector<int> got;
-  // One burst of posts from a single shard-0 event: far more than the
-  // ring holds, so the locked overflow path must preserve FIFO.
   engine.sim(0).schedule_at(1, [&] {
-    for (int i = 0; i < 64; ++i) {
-      engine.post(0, 1, 10 + i, [&got, i] { got.push_back(i); });
+    for (int i = 0; i < kBurst; ++i) {
+      engine.post(0, 1, 10 + i / 100, [&got, i] { got.push_back(i); });
     }
   });
+  // Keep shard 1 busy in the same round, so kOn runs it on a thread.
+  engine.sim(1).schedule_at(1, [] {});
   engine.run_until(100);
-  ASSERT_EQ(got.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(got[i], i);
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.posted, 64u);
-  EXPECT_EQ(stats.drained, 64u);
-  EXPECT_GT(stats.ring_overflows, 0u);
+  EXPECT_EQ(stats.posted, static_cast<std::uint64_t>(kBurst));
+  EXPECT_EQ(stats.drained, stats.posted);
+  EXPECT_EQ(stats.ring_overflows, 0u);
+  if (mode == ShardedEngine::Parallel::kOn) {
+    EXPECT_GT(stats.parallel_rounds, 0u);
+  }
+  return got;
+}
+
+TEST(ShardedEngine, BurstPostsKeepFifoUnderThreads) {
+  const auto seq = burst(ShardedEngine::Parallel::kOff);
+  ASSERT_EQ(seq.size(), 2500u);
+  for (int i = 0; i < 2500; ++i) EXPECT_EQ(seq[i], i);
+  EXPECT_EQ(burst(ShardedEngine::Parallel::kOn), seq);
+}
+
+/// Shards 0 and 2 post to shard 1 for the same instant within one
+/// round; shard 2 posts first in simulated time. Returns the order in
+/// which shard 1 runs them.
+std::vector<int> same_instant_posts(ShardedEngine::Parallel mode) {
+  ShardedEngine::Config cfg;
+  cfg.num_shards = 3;
+  cfg.parallel = mode;
+  ShardedEngine engine(cfg);
+  for (std::size_t from = 0; from < 3; ++from) {
+    for (std::size_t to = 0; to < 3; ++to) {
+      if (from != to) engine.connect(from, to, 50);
+    }
+  }
+  std::vector<int> got;
+  const auto post_pair = [&](std::size_t from) {
+    for (int k = 0; k < 2; ++k) {
+      const int tag = static_cast<int>(from) * 10 + k;
+      engine.post(from, 1, 100, [&got, tag] { got.push_back(tag); });
+    }
+  };
+  engine.sim(2).schedule_at(1, [&] { post_pair(2); });
+  engine.sim(0).schedule_at(2, [&] { post_pair(0); });
+  engine.sim(1).schedule_at(2, [] {});
+  engine.run_until(200);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.posted, 4u);  // summed over both couplings
+  EXPECT_EQ(stats.drained, 4u);
+  return got;
+}
+
+TEST(ShardedEngine, DrainOrdersOutboxesBySourceShard) {
+  // Delivery follows (from, to) order, FIFO within an outbox — not the
+  // simulated or wall-clock order in which the shards posted.
+  const std::vector<int> expected{0, 1, 20, 21};
+  EXPECT_EQ(same_instant_posts(ShardedEngine::Parallel::kOff), expected);
+  EXPECT_EQ(same_instant_posts(ShardedEngine::Parallel::kOn), expected);
 }
 
 // ---------------------------------------------------------------------
