@@ -32,6 +32,7 @@
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
 #include "qstate/state_store.hpp"
+#include "routing/router.hpp"
 
 using namespace qlink;
 using namespace qlink::bench;
@@ -40,10 +41,8 @@ namespace {
 
 Row run_row(std::size_t hops, qstate::BackendKind backend,
             double sim_seconds, std::uint64_t seed) {
-  netlayer::NetworkConfig net_cfg;
-  net_cfg.kind = netlayer::TopologyKind::kChain;
-  net_cfg.num_links = hops;
-  net_cfg.seed = seed;
+  netlayer::NetworkConfig net_cfg = routing::make_network_config(
+      routing::Graph::chain(hops + 1), core::LinkConfig{}, seed);
   net_cfg.link.scenario = hw::ScenarioParams::lab();
   // Decoherence-protected carbon memory (dynamical decoupling, [82]):
   // pairs must survive the wait for the slowest hop.

@@ -15,6 +15,7 @@
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
 #include "qstate/state_store.hpp"
+#include "routing/router.hpp"
 
 using namespace qlink;
 using namespace qlink::netlayer;
@@ -34,10 +35,9 @@ int main(int argc, char** argv) {
     backend = *parsed;
   }
 
-  NetworkConfig config;
-  config.kind = TopologyKind::kChain;
-  config.num_links = 3;
-  config.seed = 42;
+  // Nodes 0..3 in a line, link i between nodes i and i+1.
+  NetworkConfig config = routing::make_network_config(
+      routing::Graph::chain(4), core::LinkConfig{}, /*seed=*/42);
   config.link.backend = backend;
   config.link.pauli_twirl_installs =
       backend == qstate::BackendKind::kBellDiagonal;

@@ -70,7 +70,6 @@ void DistributedQueue::dispatch_local(DqpPacket request) {
   request.frame_type = DqpFrameType::kAdd;
   pending_[request.comm_seq] = PendingLocal{request, 0, 0};
   send(request);
-  ++adds_sent_;
   arm_retransmit(request.comm_seq);
 }
 

@@ -88,7 +88,6 @@ class DistributedQueue : public sim::Entity {
   std::size_t total_size() const;
   std::size_t backlog_size() const { return backlog_.size(); }
 
-  std::uint64_t adds_sent() const noexcept { return adds_sent_; }
   std::uint64_t retransmissions() const noexcept { return retransmissions_; }
 
  private:
@@ -128,7 +127,6 @@ class DistributedQueue : public sim::Entity {
   RemoteAddFn on_remote_;
   PolicyFn policy_;
 
-  std::uint64_t adds_sent_ = 0;
   std::uint64_t retransmissions_ = 0;
 };
 

@@ -117,12 +117,6 @@ void Link::run_for(sim::SimTime span) {
   simulator_->run_until(simulator_->now() + span);
 }
 
-void Link::set_classical_loss(double p) {
-  chan_a_h_->set_loss_probability(p);
-  chan_b_h_->set_loss_probability(p);
-  chan_ab_->set_loss_probability(p);
-}
-
 void Link::install_entanglement(int outcome, std::uint64_t cycle) {
   const hw::HeraldDistribution& dist =
       model_->distribution(last_alpha_a_, last_alpha_b_);
@@ -218,14 +212,6 @@ Link::RateEstimate Link::estimate_k_create(double min_fidelity) {
     estimate.pair_time_s = sim::to_seconds(advice.expected_time_per_pair);
   }
   return estimate;
-}
-
-Link::TestRoundEstimate Link::test_round_estimate() const {
-  // Both EGPs record the same interspersed test rounds from their own
-  // REPLY streams; side A is the reference (cf. WorkloadDriver's
-  // calibration, which reads egp_a's FEU too).
-  const FidelityEstimationUnit& feu = egp_a_->feu();
-  return {feu.test_rounds_recorded(), feu.estimated_fidelity_from_tests()};
 }
 
 }  // namespace qlink::core

@@ -108,10 +108,6 @@ class Link {
   /// Run the simulation for a given span of simulated time.
   void run_for(sim::SimTime span);
 
-  /// Set the classical frame-loss probability on every control link
-  /// (the robustness study of Section 6.1).
-  void set_classical_loss(double p);
-
   /// Measured fidelity of a delivered K pair: reduced state of the two
   /// qubits named in matching OKs at A and B (simulator privilege).
   double pair_fidelity(quantum::QubitId qubit_a, quantum::QubitId qubit_b);
@@ -128,17 +124,13 @@ class Link {
   };
   RateEstimate estimate_k_create(double min_fidelity);
 
-  /// The link's most recent *measured* quality: the FEU's sliding-window
-  /// test-round record (Appendix B). `fidelity` is the Eq. 16 estimate,
-  /// present once all three bases have samples; `rounds` is how many
-  /// test rounds ever fed the window — the routing layer uses its growth
-  /// to tell fresh measurements from stale ones (see
-  /// routing::Router::refresh_annotations).
+  /// A measured link quality: how many test rounds fed the FEU's
+  /// sliding window and its Eq. 16 estimate (Appendix B). Only the
+  /// return type of netlayer::EntanglementPlane::measured_estimate.
   struct TestRoundEstimate {
     std::size_t rounds = 0;
     std::optional<double> fidelity;
   };
-  TestRoundEstimate test_round_estimate() const;
 
   static constexpr std::uint32_t kNodeA = 0;
   static constexpr std::uint32_t kNodeB = 1;

@@ -138,11 +138,6 @@ class FlowPlane : public EntanglementPlane {
     (void)link;
     return calibration_.delay_s;
   }
-  core::Link::TestRoundEstimate measured_estimate(
-      std::size_t link) const override {
-    (void)link;
-    return {};  // no live measurements: the router stays on the model
-  }
 
   /// Advance the clock (mirrors QuantumNetwork::run_for so drivers
   /// treat both planes alike). When bound to a shared engine this

@@ -61,11 +61,6 @@ double SwapService::link_delay_s(std::size_t link) const {
   return sim::to_seconds(net_.link(link).scenario().delay_a_to_b());
 }
 
-core::Link::TestRoundEstimate SwapService::measured_estimate(
-    std::size_t link) const {
-  return net_.link(link).test_round_estimate();
-}
-
 std::uint32_t SwapService::request(const E2eRequest& request,
                                    const std::vector<Hop>& route,
                                    std::span<const double> hop_floors) {
@@ -127,11 +122,10 @@ void SwapService::on_ok(std::size_t link, std::uint32_t node,
   const auto it = by_create_.find({link, ok.origin_node, ok.create_id});
   if (it == by_create_.end()) {
     ++stats_.unclaimed_oks;
-    if (on_unclaimed_) {
-      on_unclaimed_(link, node, ok);
-    } else if (!ok.is_measure_directly) {
-      // Default policy: a pair nobody asked for must not pin device
-      // memory forever.
+    // An OK that belongs to no end-to-end request (e.g. link traffic
+    // issued directly by a test): a K pair nobody asked for must not
+    // pin device memory forever.
+    if (!ok.is_measure_directly) {
       net_.link(link).egp(node).release_delivered(ok);
     }
     return;

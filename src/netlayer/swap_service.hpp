@@ -40,8 +40,6 @@ class SwapService : public sim::Entity, public EntanglementPlane {
  public:
   using DeliverFn = EntanglementPlane::DeliverFn;
   using ErrorFn = EntanglementPlane::ErrorFn;
-  using UnclaimedFn = std::function<void(std::size_t link, std::uint32_t node,
-                                         const core::OkMessage&)>;
 
   struct Stats {
     std::uint64_t requests = 0;
@@ -91,18 +89,12 @@ class SwapService : public sim::Entity, public EntanglementPlane {
   core::Link::RateEstimate estimate_link(std::size_t link,
                                          double floor) override;
   double link_delay_s(std::size_t link) const override;
-  core::Link::TestRoundEstimate measured_estimate(
-      std::size_t link) const override;
   QuantumNetwork* network() noexcept override { return &net_; }
 
   void set_deliver_handler(DeliverFn fn) override {
     on_deliver_ = std::move(fn);
   }
   void set_error_handler(ErrorFn fn) override { on_error_ = std::move(fn); }
-  /// Called for OKs that belong to no end-to-end request (e.g. link
-  /// traffic issued directly by a test). Default: K-type pairs are
-  /// released immediately so they cannot exhaust device memory.
-  void set_unclaimed_handler(UnclaimedFn fn) { on_unclaimed_ = std::move(fn); }
 
   /// The higher layer is done with a delivered end-to-end pair.
   void release(const E2eOk& ok) override;
@@ -192,7 +184,6 @@ class SwapService : public sim::Entity, public EntanglementPlane {
   metrics::EdgeStats* edge_stats_ = nullptr;
   DeliverFn on_deliver_;
   ErrorFn on_error_;
-  UnclaimedFn on_unclaimed_;
   Stats stats_;
 };
 

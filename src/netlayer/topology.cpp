@@ -8,38 +8,12 @@
 
 namespace qlink::netlayer {
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-QuantumNetwork::resolve_edges() {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-
+void QuantumNetwork::validate_edges() {
+  // Validate before any link is built so malformed topologies fail
+  // loudly instead of silently mis-routing.
   if (config_.edges.empty()) {
-    // Built-in shapes: chain of num_links hops or star of num_links
-    // leaves; nodes = links + 1 either way.
-    if (config_.num_links == 0) {
-      throw std::invalid_argument("QuantumNetwork: at least one link");
-    }
-    edges.reserve(config_.num_links);
-    for (std::size_t i = 0; i < config_.num_links; ++i) {
-      switch (config_.kind) {
-        case TopologyKind::kChain:
-          // Nodes 0..N along the chain.
-          edges.emplace_back(static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(i + 1));
-          break;
-        case TopologyKind::kStar:
-          // Leaf at the A side, center (node 0) at the B side, so a
-          // leaf-to-leaf route is forward over the first hop and
-          // reversed over the second.
-          edges.emplace_back(static_cast<std::uint32_t>(i + 1), 0);
-          break;
-      }
-    }
-    num_nodes_ = config_.num_links + 1;
-    return edges;
+    throw std::invalid_argument("QuantumNetwork: at least one link");
   }
-
-  // Explicit edge list: validate before any link is built so malformed
-  // topologies fail loudly instead of silently mis-routing.
   std::uint32_t max_id = 0;
   for (const auto& [a, b] : config_.edges) {
     max_id = std::max({max_id, a, b});
@@ -71,7 +45,6 @@ QuantumNetwork::resolve_edges() {
       }
     }
   }
-  return config_.edges;
 }
 
 QuantumNetwork::QuantumNetwork(const NetworkConfig& config)
@@ -87,7 +60,8 @@ QuantumNetwork::QuantumNetwork(const NetworkConfig& config)
     throw std::invalid_argument("QuantumNetwork: shard out of range");
   }
   sim::Simulator& simulator = engine_->sim(shard_);
-  const auto edges = resolve_edges();
+  validate_edges();
+  const auto& edges = config_.edges;
   links_.reserve(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
     core::LinkConfig lc = config_.link;

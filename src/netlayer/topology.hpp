@@ -29,31 +29,21 @@
 /// run — all of its links (and their quantum state) live on that one
 /// shard, and only classical channels may reach other shards.
 ///
-/// Shapes: the built-in chain of N links (nodes 0..N, link i between
-/// nodes i and i+1) and star of N links (center node 0, leaves 1..N),
-/// or — the general form — an explicit undirected edge list over
-/// arbitrary node ids (rings, grids, tori, dragonflies, ...; the
-/// generators live in routing::Graph, and routing::make_network_config
-/// converts a graph into a NetworkConfig). Edge lists are validated on
-/// construction: self-loops, duplicate links, and unknown node ids are
+/// Shape: an undirected edge list over arbitrary node ids. The
+/// generators (chains, stars, rings, grids, tori, dragonflies, ...) live
+/// in routing::Graph, and routing::make_network_config converts a graph
+/// into a NetworkConfig. Edge lists are validated on construction: an
+/// empty list, self-loops, duplicate links and unknown node ids are
 /// rejected with std::invalid_argument.
 
 namespace qlink::netlayer {
 
-enum class TopologyKind { kChain, kStar };
-
 struct NetworkConfig {
-  /// Built-in shape; ignored when `edges` is non-empty.
-  TopologyKind kind = TopologyKind::kChain;
-  /// Number of links (chain: hops; star: leaves). Nodes = links + 1.
-  /// Ignored when `edges` is non-empty.
-  std::size_t num_links = 2;
-  /// Explicit undirected edge list (general graphs): link i joins
-  /// global node ids edges[i].first (A side) and edges[i].second (B
-  /// side). Overrides `kind`/`num_links` when non-empty.
+  /// Undirected edge list, at least one link: link i joins global node
+  /// ids edges[i].first (A side) and edges[i].second (B side).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  /// Node count in edge-list mode; 0 infers max listed id + 1. Ids in
-  /// `edges` must be < num_nodes.
+  /// Node count; 0 infers max listed id + 1. Ids in `edges` must be
+  /// < num_nodes.
   std::size_t num_nodes = 0;
   /// Per-link template (scenario, scheduler, ...). Node ids and labels
   /// are overwritten per link by the topology.
@@ -139,9 +129,8 @@ class QuantumNetwork {
   void run_until(sim::SimTime t) { engine_->run_until(t); }
 
  private:
-  /// Validated (node_a, node_b) pairs for every link, resolved from
-  /// either the built-in shape or the explicit edge list.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> resolve_edges();
+  /// Reject malformed edge lists (see file comment) and set num_nodes_.
+  void validate_edges();
 
   NetworkConfig config_;
   /// Private single-shard engine when the config does not bind one.

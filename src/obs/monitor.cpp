@@ -245,8 +245,4 @@ void Monitor::emit(sim::SimTime t) {
   prev_ = cur;
 }
 
-void Monitor::write_jsonl(std::FILE* f) const {
-  std::fwrite(jsonl_.data(), 1, jsonl_.size(), f);
-}
-
 }  // namespace qlink::obs

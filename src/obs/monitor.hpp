@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include "metrics/collector.hpp"
@@ -116,7 +115,6 @@ class Monitor {
   }
 
   const std::string& jsonl() const noexcept { return jsonl_; }
-  void write_jsonl(std::FILE* f) const;
 
  private:
   struct Cumulative {

@@ -305,8 +305,4 @@ void NetState::finish() {
   finished_ = true;
 }
 
-void NetState::write_jsonl(std::FILE* f) const {
-  std::fwrite(jsonl_.data(), 1, jsonl_.size(), f);
-}
-
 }  // namespace qlink::obs

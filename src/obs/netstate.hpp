@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -103,7 +102,6 @@ class NetState {
   double max_utilization() const noexcept { return max_utilization_; }
 
   const std::string& jsonl() const noexcept { return jsonl_; }
-  void write_jsonl(std::FILE* f) const;
 
  private:
   struct EdgeSnap {

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <cinttypes>
+#include <cstdio>
 
 namespace qlink::obs {
 
@@ -195,16 +196,6 @@ std::string Tracer::jsonl() const {
     out += '\n';
   }
   return out;
-}
-
-void Tracer::write_chrome_json(std::FILE* f) const {
-  const std::string s = chrome_json();
-  std::fwrite(s.data(), 1, s.size(), f);
-}
-
-void Tracer::write_jsonl(std::FILE* f) const {
-  const std::string s = jsonl();
-  std::fwrite(s.data(), 1, s.size(), f);
 }
 
 }  // namespace qlink::obs

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -86,8 +85,6 @@ class Tracer {
   std::string chrome_json() const;
   /// Compact JSONL: one event per line, integer-nanosecond times.
   std::string jsonl() const;
-  void write_chrome_json(std::FILE* f) const;
-  void write_jsonl(std::FILE* f) const;
 
  private:
   enum class Phase : std::uint8_t {

@@ -64,12 +64,6 @@ const Matrix& cnot() {
   return m;
 }
 
-const Matrix& cz() {
-  static const Matrix m{
-      {1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, -1}};
-  return m;
-}
-
 const Matrix& swap() {
   static const Matrix m{
       {1, 0, 0, 0}, {0, 0, 1, 0}, {0, 1, 0, 0}, {0, 0, 0, 1}};

@@ -30,8 +30,6 @@ Matrix rz(double theta);
 
 /// CNOT with qubit 0 (the left tensor factor) as control.
 const Matrix& cnot();
-/// Controlled-Z.
-const Matrix& cz();
 /// SWAP.
 const Matrix& swap();
 

@@ -57,13 +57,6 @@ const char* cost_model_name(CostModel model) noexcept {
   return "?";
 }
 
-std::optional<CostModel> parse_cost_model(std::string_view name) noexcept {
-  if (name == "hops" || name == "hopcount") return CostModel::kHopCount;
-  if (name == "fidelity") return CostModel::kFidelity;
-  if (name == "latency") return CostModel::kLatency;
-  return std::nullopt;
-}
-
 void PathSelector::StampSet::clear() {
   if (++gen == 0) {  // wrapped: old stamps would read as current
     std::fill(stamp.begin(), stamp.end(), 0);

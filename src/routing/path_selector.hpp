@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,7 +36,6 @@ namespace qlink::routing {
 enum class CostModel { kHopCount, kFidelity, kLatency };
 
 const char* cost_model_name(CostModel model) noexcept;
-std::optional<CostModel> parse_cost_model(std::string_view name) noexcept;
 
 /// A simple (loop-free) path: edge ids plus the node sequence they
 /// traverse (nodes.size() == edges.size() + 1, nodes.front() == src).
@@ -61,10 +59,6 @@ class PathSelector {
 
   const Graph& graph() const noexcept { return graph_; }
   CostModel model() const noexcept { return model_; }
-
-  /// Additive weight of one edge under the active cost model, as cached
-  /// by the last reweight().
-  double edge_weight(std::size_t edge) const { return weights_.at(edge); }
 
   /// Recompute the cached edge weights from the graph's current params.
   /// Searches read only the cache: call this after editing params or

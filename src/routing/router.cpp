@@ -1,7 +1,6 @@
 #include "routing/router.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -97,52 +96,6 @@ void Router::annotate_from_network(std::span<const double> floor_menu) {
   }
   selector_.reweight();
   path_cache_.clear();  // costs changed: cached candidates are stale
-}
-
-void Router::refresh_annotations(const RefreshOptions& options) {
-  annotate_from_network(options.floor_menu);  // the static baseline
-  const bool first_refresh = freshness_.empty();
-  if (first_refresh) freshness_.resize(graph_.num_edges());
-  const sim::SimTime now = sim_.now();
-  for (std::size_t i = 0; i < graph_.num_edges(); ++i) {
-    const auto measured = plane_.measured_estimate(i);
-    EdgeFreshness& fresh = freshness_[i];
-    if (first_refresh) {
-      // Rounds recorded before anyone watched cannot be dated; treat
-      // them as aged since sim start (last_fresh stays 0) rather than
-      // letting a long-stale record masquerade as fresh.
-      fresh.rounds_seen = measured.rounds;
-    } else if (measured.rounds > fresh.rounds_seen) {
-      fresh.rounds_seen = measured.rounds;
-      fresh.last_fresh = now;
-    }
-    if (!measured.fidelity || measured.rounds < options.min_rounds) {
-      continue;  // not enough data: stay on the model
-    }
-    const double age_s = sim::to_seconds(now - fresh.last_fresh);
-    const double weight = options.stale_halflife_s <= 0.0
-                              ? 0.0
-                              : std::exp2(-age_s / options.stale_halflife_s);
-    EdgeParams& params = graph_.params(i);
-    params.fidelity =
-        weight * *measured.fidelity + (1.0 - weight) * params.fidelity;
-  }
-  selector_.reweight();
-  // Fidelity-recovery signal for exclusion decay: an edge whose blended
-  // estimate rose by >= kRecoveryMinGain since the previous refresh is
-  // stamped recovered — exclusion entries older than the stamp are
-  // dropped at the next re-route (prune_exclusions).
-  if (recovered_at_.empty()) recovered_at_.resize(graph_.num_edges(), 0);
-  const bool have_prev = !prev_refresh_fidelity_.empty();
-  if (!have_prev) prev_refresh_fidelity_.resize(graph_.num_edges(), 0.0);
-  for (std::size_t i = 0; i < graph_.num_edges(); ++i) {
-    const double fidelity = graph_.params(i).fidelity;
-    if (have_prev &&
-        fidelity >= prev_refresh_fidelity_[i] + kRecoveryMinGain) {
-      recovered_at_[i] = now;
-    }
-    prev_refresh_fidelity_[i] = fidelity;
-  }
 }
 
 std::vector<netlayer::Hop> Router::to_hops(const Path& path) const {
@@ -415,14 +368,6 @@ void Router::enqueue_flight(FlightState flight) {
   schedule_expiry_wakeup();
 }
 
-void Router::prune_exclusions(FlightState& flight) const {
-  // Strict >: an exclusion recorded in the same event as a recovery
-  // stamp reflects a *later* observation (the edge just failed).
-  std::erase_if(flight.excluded, [this](const Exclusion& e) {
-    return edge_recovered_at(e.edge) > e.at;
-  });
-}
-
 void Router::sync_contention_metrics() {
   if (collector_ == nullptr) return;
   for (; steals_seen_ < reservations_.steals(); ++steals_seen_) {
@@ -525,27 +470,19 @@ void Router::on_error(const netlayer::E2eErr& err) {
   schedule_expiry_wakeup();
 
   if (flight.reroutable && flight.reroutes_used < config_.max_reroutes) {
-    // The failing edge joins the request's exclusion set; surviving
-    // candidates (Yen already yielded k) are preferred, and the search
-    // only re-runs over the exclusion set once they run dry. Exclusions
-    // of edges whose fidelity recovered are dropped first, so a
-    // repaired edge is back in the search space within the budget.
-    const sim::SimTime now = sim_.now();
-    flight.excluded.push_back({err.link, now});
-    prune_exclusions(flight);
+    // The failing edge joins the request's exclusion set for the rest of
+    // its lifetime; surviving candidates (Yen already yielded k) are
+    // preferred, and the search only re-runs over the exclusion set once
+    // they run dry.
+    flight.excluded.push_back(err.link);
     std::erase_if(flight.candidates, [&err](const Path& path) {
       return std::find(path.edges.begin(), path.edges.end(), err.link) !=
              path.edges.end();
     });
     if (flight.candidates.empty()) {
-      std::vector<std::size_t> excluded_edges;
-      excluded_edges.reserve(flight.excluded.size());
-      for (const Exclusion& e : flight.excluded) {
-        excluded_edges.push_back(e.edge);
-      }
       flight.candidates =
           selector_.k_shortest(flight.request.src, flight.request.dst,
-                               config_.k_candidates, excluded_edges);
+                               config_.k_candidates, flight.excluded);
     }
     if (!flight.candidates.empty()) {
       ++flight.reroutes_used;
@@ -557,7 +494,7 @@ void Router::on_error(const netlayer::E2eErr& err) {
       flight.delivered = 0;
       if (tracer_) {
         tracer_->instant(
-            flight.request.trace_id, "router", "reroute", now,
+            flight.request.trace_id, "router", "reroute", sim_.now(),
             {obs::Tracer::num_arg("failed_link",
                                   static_cast<std::uint64_t>(err.link)),
              obs::Tracer::num_arg(

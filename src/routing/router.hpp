@@ -41,11 +41,8 @@
 /// in order — recomputed over the exclusion set once they run dry — and
 /// the request is resubmitted, up to the budget. The error handler sees
 /// terminal failures only; absorbed hop failures surface in
-/// Stats::rerouted and metrics::Collector::reroutes. Exclusions decay:
-/// an edge whose annotated fidelity recovered (refresh_annotations
-/// measured a gain >= kRecoveryMinGain since the exclusion) is dropped
-/// at the next re-route, so a repaired link is routable again within
-/// the request's budget.
+/// Stats::rerouted and metrics::Collector::reroutes. Exclusions last
+/// for the request's lifetime.
 ///
 /// Scheduled admission (scheduled_admission): a request that fits no
 /// candidate *now* books the earliest future window in which one
@@ -90,35 +87,16 @@ struct RouterConfig {
   /// queue blind and drain greedily (jumps allowed, counted as steals).
   bool scheduled_admission = false;
   /// Cache Yen candidate lists per (src, dst), invalidated whenever
-  /// annotate_from_network / refresh_annotations rewrites the edge
-  /// parameters. The selector is deterministic, so a cache hit returns
-  /// byte-identical candidates — this cannot change a trajectory, only
-  /// skip recomputation. Streaming workloads over big topologies
+  /// annotate_from_network rewrites the edge parameters. The selector
+  /// is deterministic, so a cache hit returns byte-identical
+  /// candidates — this cannot change a trajectory, only skip
+  /// recomputation. Streaming workloads over big topologies
   /// (bench_workload_scale) switch it on.
   bool cache_paths = false;
 };
 
-/// How Router::refresh_annotations folds live FEU test-round estimates
-/// into the graph's planning parameters.
-struct RefreshOptions {
-  /// Descending CREATE-floor quality set-points (as
-  /// annotate_from_network).
-  std::span<const double> floor_menu;
-  /// Minimum recorded test rounds before a link's measurements are
-  /// trusted at all.
-  std::size_t min_rounds = 30;
-  /// Staleness half-life: with no new test rounds for one half-life,
-  /// the measured estimate's weight halves toward the static model.
-  double stale_halflife_s = 0.5;
-};
-
 class Router {
  public:
-  /// An excluded edge whose annotated fidelity rises by at least this
-  /// much across refresh_annotations calls counts as recovered and is
-  /// dropped from exclusion sets at the next re-route.
-  static constexpr double kRecoveryMinGain = 0.05;
-
   struct Stats {
     std::uint64_t submitted = 0;
     /// Admissions (a re-routed request is admitted again; resubmissions
@@ -176,14 +154,6 @@ class Router {
   /// then avoids them whenever an alternative exists).
   void annotate_from_network(std::span<const double> floor_menu);
 
-  /// annotate_from_network, then blend each edge's fidelity toward the
-  /// link's *measured* test-round estimate (core::Link::
-  /// test_round_estimate): weight 2^(-age / half-life), where age is
-  /// the time since the link last recorded a new test round. Fresh
-  /// measurements dominate the static model; stale ones decay back to
-  /// it. Links below min_rounds stay on the model.
-  void refresh_annotations(const RefreshOptions& options);
-
   /// Submit an end-to-end request. Returns the SwapService request id
   /// when admitted immediately, 0 when deferred or queued. Throws std::invalid_argument when the graph offers no
   /// src -> dst path at all.
@@ -220,9 +190,9 @@ class Router {
     on_error_ = std::move(fn);
   }
 
-  /// Read-only: edge params change only through annotate_from_network
-  /// and refresh_annotations, which also reweight the selector (a
-  /// direct edit would leave it searching on stale weights).
+  /// Read-only: edge params change only through annotate_from_network,
+  /// which also reweights the selector (a direct edit would leave it
+  /// searching on stale weights).
   const Graph& graph() const noexcept { return graph_; }
   const PathSelector& selector() const noexcept { return selector_; }
   const ReservationTable& reservations() const noexcept {
@@ -232,12 +202,6 @@ class Router {
   /// Deferred bookings whose window start has not arrived yet.
   std::size_t deferred_pending() const noexcept {
     return deferred_events_.size();
-  }
-  /// When refresh_annotations last saw this edge's fidelity recover by
-  /// >= kRecoveryMinGain (0 = never). Exclusions older than this are
-  /// dropped at the next re-route.
-  sim::SimTime edge_recovered_at(std::size_t edge) const {
-    return edge < recovered_at_.size() ? recovered_at_[edge] : 0;
   }
   /// The entanglement plane this router admits onto.
   netlayer::EntanglementPlane& plane() noexcept { return plane_; }
@@ -260,20 +224,13 @@ class Router {
                               const netlayer::E2eRequest& request) const;
 
  private:
-  /// A re-routing exclusion: the edge to avoid and when it failed (so
-  /// a later recovery can age it out).
-  struct Exclusion {
-    std::size_t edge = 0;
-    sim::SimTime at = 0;
-  };
-
   /// Everything needed to re-route an in-flight request: its remaining
   /// work, the surviving candidates, and the edges it must now avoid.
   struct FlightState {
     ReservationTable::Ticket ticket = 0;
     netlayer::E2eRequest request;
     std::vector<Path> candidates;
-    std::vector<Exclusion> excluded;
+    std::vector<std::size_t> excluded;
     std::size_t reroutes_used = 0;
     std::uint16_t delivered = 0;
     /// false for pinned submit_on requests: re-routing would betray
@@ -308,9 +265,6 @@ class Router {
   /// Queue `flight` in the reservation table's blocked queue with its
   /// preferred candidate's edges as the drain footprint.
   void enqueue_flight(FlightState flight);
-  /// Drop exclusions whose edge recovered (refresh_annotations) since
-  /// the exclusion was recorded.
-  void prune_exclusions(FlightState& flight) const;
   /// Forward the reservation table's contention counters (steals /
   /// per-edge-FIFO holds) to the collector as they grow.
   void sync_contention_metrics();
@@ -338,24 +292,12 @@ class Router {
   PathSelector selector_;
   ReservationTable reservations_;
   /// (src, dst) -> Yen candidates (cache_paths only). Cleared whenever
-  /// annotate_from_network / refresh_annotations rewrites edge costs.
+  /// annotate_from_network rewrites edge costs.
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Path>>
       path_cache_;
   /// SwapService request id -> its flight (reservation + reroute
   /// state).
   std::map<std::uint32_t, FlightState> in_flight_;
-  /// Per-edge measurement freshness for refresh_annotations: the test
-  /// round count last seen, and when it last grew.
-  struct EdgeFreshness {
-    std::size_t rounds_seen = 0;
-    sim::SimTime last_fresh = 0;
-  };
-  std::vector<EdgeFreshness> freshness_;
-  /// Per-edge recovery stamps (see edge_recovered_at) and the blended
-  /// fidelity each edge had after the previous refresh, so a recovery
-  /// is a measured *gain*, not an absolute level.
-  std::vector<sim::SimTime> recovered_at_;
-  std::vector<double> prev_refresh_fidelity_;
   /// Pending deferred-submission events (cancelled on destruction —
   /// their closures capture `this`).
   std::set<sim::EventId> deferred_events_;

@@ -35,9 +35,4 @@ inline constexpr double to_seconds(SimTime t) {
   return static_cast<double>(t) * 1e-9;
 }
 
-/// Convert a simulation time to floating-point microseconds.
-inline constexpr double to_microseconds(SimTime t) {
-  return static_cast<double>(t) * 1e-3;
-}
-
 }  // namespace qlink::sim

@@ -241,12 +241,6 @@ void WorkloadDriver::on_cycle() {
       }
       collector_.sample_queue_length(queued);
     }
-    if (router_ != nullptr) {
-      // Scheduler occupancy: requests parked blind in the blocked queue
-      // plus deferred bookings waiting for their window to open.
-      collector_.sample_sched_backlog(
-          router_->reservations().blocked() + router_->deferred_pending());
-    }
     return;
   }
   maybe_issue(Priority::kNetworkLayer, traffic_.nl);
@@ -271,17 +265,7 @@ std::size_t WorkloadDriver::e2e_num_nodes() const {
 
 std::pair<std::uint32_t, std::uint32_t> WorkloadDriver::pick_endpoints() {
   const auto last = static_cast<std::uint32_t>(e2e_num_nodes() - 1);
-  // In a star, node 0 is the center: the "first" end is leaf 1 so that
-  // fixed-endpoint runs actually traverse a swap at the center. (Only
-  // the built-in shapes have a distinguished center; edge-list
-  // topologies use plain node 0.)
-  const std::uint32_t first =
-      net_ != nullptr && net_->config().edges.empty() &&
-              net_->config().kind == netlayer::TopologyKind::kStar &&
-              last > 1
-          ? 1
-          : 0;
-  std::uint32_t src = first;
+  std::uint32_t src = 0;
   std::uint32_t dst = last;
   switch (traffic_.origin) {
     case OriginMode::kAllA:

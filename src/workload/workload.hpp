@@ -93,7 +93,7 @@ struct DriverConfig {
   std::uint64_t seed = 7;
   /// Evict unmatched delivered pairs after this long (covers lost OKs).
   sim::SimTime stale_pair_horizon = sim::duration::milliseconds(20);
-  /// Control-loop cadence (observation-session polls, queue/backlog
+  /// Control-loop cadence (observation-session polls, queue-length
   /// samples, Bernoulli issue). 0 = the reference
   /// link's MHP cycle, or 10 us when no full-detail link exists
   /// (routed mode over a flow plane).

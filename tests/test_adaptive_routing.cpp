@@ -6,16 +6,13 @@
 
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
-#include "quantum/bell.hpp"
 #include "routing/router.hpp"
 
-/// Adaptive re-routing and live annotation refresh (ISSUE 4): a routed
-/// request whose reserved path keeps failing is resubmitted over
-/// sibling candidates with the failing edge excluded, and
-/// Router::refresh_annotations folds each link's measured FEU
-/// test-round estimate into the edge parameters, decaying toward the
-/// static model as the measurement goes stale. Pure reservation-table
-/// lease mechanics live in test_routing.cpp.
+/// Adaptive re-routing: a routed request whose reserved path keeps
+/// failing is resubmitted over sibling candidates with the failing edge
+/// excluded; and the Router's selector searches on the parameters
+/// annotate_from_network writes. Pure reservation-table lease mechanics
+/// live in test_routing.cpp.
 
 namespace qlink::netlayer {
 namespace {
@@ -209,73 +206,7 @@ TEST(AdaptiveRouting, BudgetExhaustionAbandonsAndReportsTerminalError) {
 }
 
 // ---------------------------------------------------------------------------
-// Live annotation refresh from FEU test rounds.
-
-TEST(AnnotationRefresh, BlendsMeasurementsAndDecaysWhenStale) {
-  routing::Graph chain = routing::Graph::chain(2);
-  NetworkConfig nc =
-      routing::make_network_config(chain, core::LinkConfig{}, 5);
-  nc.link.scenario = hw::ScenarioParams::lab();
-  QuantumNetwork net(nc);
-  SwapService swap(net);
-  routing::Router router(chain, swap);
-  const double menu[] = {0.7};
-  router.annotate_from_network(menu);
-  const double model = router.graph().params(0).fidelity;
-  ASSERT_GT(model, 0.25);
-  ASSERT_LT(model, 1.0);
-
-  // Feed the link's FEU a perfect test-round record (zero QBER in all
-  // three bases -> Eq. 16 estimate 1.0, far from the model).
-  core::FidelityEstimationUnit& feu = net.link(0).egp_a().feu();
-  using quantum::gates::Basis;
-  for (const Basis basis : {Basis::kX, Basis::kY, Basis::kZ}) {
-    const bool equal = quantum::bell::ideal_outcomes_equal(
-        quantum::bell::BellState::kPsiPlus, basis);
-    for (int i = 0; i < 12; ++i) {
-      feu.record_test_round(basis, 0, equal ? 0 : 1, /*heralded=*/1);
-    }
-  }
-  const auto measured = net.link(0).test_round_estimate();
-  ASSERT_EQ(measured.rounds, 36u);
-  ASSERT_TRUE(measured.fidelity.has_value());
-  EXPECT_NEAR(*measured.fidelity, 1.0, 1e-12);
-
-  routing::RefreshOptions options;
-  options.floor_menu = menu;
-  options.min_rounds = 30;
-  options.stale_halflife_s = 0.5;
-
-  // Below min_rounds the model stands.
-  routing::RefreshOptions strict = options;
-  strict.min_rounds = 100;
-  router.refresh_annotations(strict);
-  EXPECT_DOUBLE_EQ(router.graph().params(0).fidelity, model);
-
-  // Fresh measurement (age 0): the measured value replaces the model.
-  router.refresh_annotations(options);
-  EXPECT_NEAR(router.graph().params(0).fidelity, *measured.fidelity,
-              1e-12);
-
-  // One half-life with no new rounds: half-way back to the model.
-  net.run_for(sim::duration::seconds(0.5));
-  router.refresh_annotations(options);
-  EXPECT_NEAR(router.graph().params(0).fidelity,
-              0.5 * *measured.fidelity + 0.5 * model, 1e-9);
-
-  // Twenty half-lives: indistinguishable from the static model.
-  net.run_for(sim::duration::seconds(10.0));
-  router.refresh_annotations(options);
-  EXPECT_NEAR(router.graph().params(0).fidelity, model, 1e-4);
-
-  // A new test round resets freshness: full measurement weight again.
-  feu.record_test_round(Basis::kZ, 0, 1, 1);  // Psi+: Z anti-correlates
-  router.refresh_annotations(options);
-  const auto refreshed = net.link(0).test_round_estimate();
-  ASSERT_TRUE(refreshed.fidelity.has_value());
-  EXPECT_NEAR(router.graph().params(0).fidelity, *refreshed.fidelity,
-              1e-12);
-}
+// Annotation from the network's planning estimates.
 
 TEST(AnnotationRefresh, SelectorSearchesOnRewrittenParams) {
   // Ring 0-1-2-3, endpoints 0 and 2: two 2-hop routes. At the graph's
@@ -312,23 +243,6 @@ TEST(AnnotationRefresh, SelectorSearchesOnRewrittenParams) {
   router.annotate_from_network(menu);
   ASSERT_DOUBLE_EQ(router.graph().params(dead).fidelity, 0.25);
   EXPECT_EQ(route(), (std::vector<std::uint32_t>{0, 3, 2}));
-
-  // A fresh, perfect test-round record on the dead edge blends its
-  // fidelity to 1.0 (weight 0): the route turns back to 0-1-2.
-  core::FidelityEstimationUnit& feu = net.link(dead).egp_a().feu();
-  using quantum::gates::Basis;
-  for (const Basis basis : {Basis::kX, Basis::kY, Basis::kZ}) {
-    const bool equal = quantum::bell::ideal_outcomes_equal(
-        quantum::bell::BellState::kPsiPlus, basis);
-    for (int i = 0; i < 12; ++i) {
-      feu.record_test_round(basis, 0, equal ? 0 : 1, /*heralded=*/1);
-    }
-  }
-  routing::RefreshOptions options;
-  options.floor_menu = menu;
-  router.refresh_annotations(options);
-  ASSERT_NEAR(router.graph().params(dead).fidelity, 1.0, 1e-12);
-  EXPECT_EQ(route(), (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 }  // namespace

@@ -7,14 +7,12 @@
 
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
-#include "quantum/bell.hpp"
 #include "routing/router.hpp"
 
 /// Scheduler-grade admission control (ISSUE 5): deferred window
-/// bookings, exclusion-set decay (TTL + fidelity-recovery signal), and
-/// the batch drain, exercised over a real QuantumNetwork. Pure
-/// ReservationTable window/heap/drain mechanics live in
-/// test_routing.cpp.
+/// bookings, permanent re-routing exclusions, and the batch drain,
+/// exercised over a real QuantumNetwork. Pure ReservationTable
+/// window/heap/drain mechanics live in test_routing.cpp.
 
 namespace qlink::netlayer {
 namespace {
@@ -172,20 +170,12 @@ TEST(DeferredAdmission, ByteIdenticalPerSeedOnBothBackends) {
 }
 
 // ---------------------------------------------------------------------------
-// Exclusion-set decay on a ring whose both 0 -> 2 corridors are dead.
+// Re-routing exclusions on a ring whose both 0 -> 2 corridors are dead.
 //
 // ring 0-1-2-3 with herald visibility 0.25 on (1,2) and (2,3): every
-// 0 -> 2 route fails with UNSUPP at the edge entering node 2. Without
-// decay the second failure exhausts the candidate space; with decay an
-// aged-out (or recovered) exclusion puts the first corridor back into
-// the re-route search.
-//
-// An infeasible-floor CREATE is refused in the same timestamp it is
-// issued, so a bare fail -> re-route -> fail chain never advances the
-// clock and no exclusion could age inside it. The decay tests insert a
-// *blocker* request that pins the sibling corridor's healthy edge
-// (3, 0): the re-route queues behind it and only admits when the
-// blocker completes, putting real sim time between the two failures.
+// 0 -> 2 route fails with UNSUPP at the edge entering node 2.
+// Exclusions last for the request's lifetime, so the second failure
+// exhausts the candidate space.
 
 struct DeadRing {
   routing::Graph ring;
@@ -245,54 +235,31 @@ TEST(ExclusionDecay, PermanentExclusionExhaustsCandidatesAfterOneReroute) {
   ASSERT_EQ(w.errors.size(), 1u);
 }
 
-TEST(ExclusionDecay, FidelityRecoverySignalReadmitsTheRecoveredEdge) {
-  // Between the two failures the first dead link's FEU reports
-  // perfect test rounds: refresh_annotations stamps the edge
-  // recovered, the next re-route prunes its exclusion, and the
-  // request tries the "repaired" corridor once more (it is still
-  // physically dead, so the run ends abandoned — but with one more
-  // admission than the permanent-exclusion baseline).
+TEST(ExclusionLifetime, ExcludedCorridorStaysOutWhileTheRerouteWaits) {
+  // A blocker pins the sibling corridor's healthy edge (3, 0), so the
+  // re-route after the first failure queues behind it and only admits
+  // once the blocker completes: real sim time passes between the two
+  // failures. The first corridor's exclusion survives that wait, so
+  // the second failure still exhausts the candidate space.
   DeadRing w(/*max_reroutes=*/5);
-  routing::RefreshOptions options;
-  const double menu[] = {0.7};
-  options.floor_menu = menu;
-  options.min_rounds = 30;
-  options.stale_halflife_s = 0.5;
   w.net->start();
-  w.router->refresh_annotations(options);  // baseline for recovery gains
   w.router->submit(ContendedChain::request(0, 3, 4));  // the blocker
   w.router->submit(ContendedChain::request(0, 2, 1));
 
-  // Step event by event until the first corridor failed (its exclusion
-  // recorded, the re-route parked behind the blocker), then feed the
-  // dead link perfect test rounds and refresh: measured fidelity 1.0
-  // vs the annotated 0.25 is far past kRecoveryMinGain.
   const auto& stats = w.router->stats();
   while (w.collector.reroutes() < 1 && stats.failed == 0) {
     ASSERT_TRUE(w.net->simulator().step());
   }
-  core::FidelityEstimationUnit& feu =
-      w.net->link(w.dead_a).egp_a().feu();
-  using quantum::gates::Basis;
-  for (const Basis basis : {Basis::kX, Basis::kY, Basis::kZ}) {
-    const bool equal = quantum::bell::ideal_outcomes_equal(
-        quantum::bell::BellState::kPsiPlus, basis);
-    for (int i = 0; i < 12; ++i) {
-      feu.record_test_round(basis, 0, equal ? 0 : 1, /*heralded=*/1);
-    }
-  }
-  w.router->refresh_annotations(options);
-  EXPECT_GT(w.router->edge_recovered_at(w.dead_a), 0);
-
+  const sim::SimTime first_failure = w.net->simulator().now();
   for (int i = 0; i < 2000 && stats.completed + stats.failed < 2; ++i) {
     w.net->run_for(sim::duration::milliseconds(1));
   }
-  // One extra admission vs the permanent-exclusion baseline: the
-  // recovered corridor was re-tried within the re-route budget.
+  EXPECT_GT(w.net->simulator().now(), first_failure);
   EXPECT_EQ(stats.completed, 1u);  // the blocker
-  EXPECT_EQ(stats.rerouted, 2u);
+  EXPECT_EQ(stats.rerouted, 1u);
   EXPECT_EQ(stats.abandoned, 1u);
-  EXPECT_EQ(w.collector.route_length().count(), 4u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(w.collector.route_length().count(), 3u);
   ASSERT_EQ(w.errors.size(), 1u);
 }
 

@@ -8,6 +8,7 @@
 #include "metrics/collector.hpp"
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
+#include "routing/router.hpp"
 #include "workload/workload.hpp"
 
 /// Backend-equivalence acceptance tests (ISSUE 2): identically seeded
@@ -86,10 +87,8 @@ struct ChainResult {
 };
 
 ChainResult run_chain(BackendKind backend, double sim_seconds) {
-  netlayer::NetworkConfig cfg;
-  cfg.kind = netlayer::TopologyKind::kChain;
-  cfg.num_links = 3;
-  cfg.seed = 7;
+  netlayer::NetworkConfig cfg = routing::make_network_config(
+      routing::Graph::chain(4), core::LinkConfig{}, /*seed=*/7);
   cfg.link.scenario = pauli_scenario();
   cfg.link.backend = backend;
   cfg.link.pauli_twirl_installs = true;

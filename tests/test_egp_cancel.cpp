@@ -6,6 +6,7 @@
 #include "metrics/collector.hpp"
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
+#include "routing/router.hpp"
 
 /// Egp::cancel_create (ISSUE 2 satellite): a higher layer that
 /// abandons a CREATE must be able to retract it from both nodes'
@@ -107,16 +108,20 @@ TEST(EgpCancel, CancelBeforeQueueConfirmationRetractsTheCreate) {
 }
 
 TEST(SwapServiceCancel, FailedE2eRequestRetractsSiblingHopCreates) {
-  netlayer::NetworkConfig cfg;
-  cfg.kind = netlayer::TopologyKind::kChain;
-  cfg.num_links = 2;
-  cfg.seed = 11;
+  netlayer::NetworkConfig cfg = routing::make_network_config(
+      routing::Graph::chain(3), core::LinkConfig{}, /*seed=*/11);
   cfg.link.scenario = hw::ScenarioParams::lab();
   cfg.link.scenario.nv.carbon_t2_ns = 0.5e9;
   cfg.link.scenario.nv.carbon_coupling_rad_per_s /= 10.0;
   // Fast link-layer expiry under frame loss: a few consecutive
   // one-sided midpoint errors kill hop 0's CREATE.
   cfg.link.one_sided_error_threshold = 4;
+  // Hop 0 is lossy; hop 1 stays healthy. Before cancel_create, the
+  // failed request left hop 1's CREATE live, generating unclaimed OKs
+  // indefinitely.
+  cfg.configure_link = [](std::size_t i, core::LinkConfig& lc) {
+    if (i == 0) lc.scenario.classical_loss_prob = 0.25;
+  };
 
   netlayer::QuantumNetwork net(cfg);
   metrics::Collector collector;
@@ -133,10 +138,6 @@ TEST(SwapServiceCancel, FailedE2eRequestRetractsSiblingHopCreates) {
   req.link_min_fidelity = 0.78;
   net.start();
   swap.request(req);
-  // Hop 0 becomes lossy; hop 1 stays healthy. Before cancel_create,
-  // the failed request left hop 1's CREATE live, generating unclaimed
-  // OKs indefinitely.
-  net.link(0).set_classical_loss(0.25);
 
   for (int i = 0; i < 200 && errors == 0; ++i) {
     net.run_for(sim::duration::milliseconds(100));

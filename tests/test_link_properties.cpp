@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+#include <string>
+
 #include "core/network.hpp"
 
 /// Parameterised end-to-end invariants of the full protocol stack,
@@ -14,6 +18,21 @@ struct LinkCase {
   bool ql2020;
   double loss;
 };
+
+/// Stable test-name suffix from the case's fields, e.g.
+/// seed3_lab_loss1000ppm. PrintTo prints the same string, so ctest's
+/// discovered names carry it instead of the struct's raw bytes.
+std::string case_name(const LinkCase& c) {
+  return "seed" + std::to_string(c.seed) +
+         (c.ql2020 ? "_ql2020" : "_lab") + "_loss" +
+         std::to_string(std::llround(c.loss * 1e6)) + "ppm";
+}
+
+void PrintTo(const LinkCase& c, std::ostream* os) { *os << case_name(c); }
+
+std::string case_param_name(const ::testing::TestParamInfo<LinkCase>& info) {
+  return case_name(info.param);
+}
 
 class LinkInvariantP : public ::testing::TestWithParam<LinkCase> {
  protected:
@@ -116,7 +135,8 @@ INSTANTIATE_TEST_SUITE_P(
                       LinkCase{3, false, 1e-3}, LinkCase{4, false, 1e-2},
                       LinkCase{5, true, 0.0}, LinkCase{6, true, 1e-3},
                       LinkCase{7, false, 0.0}, LinkCase{8, false, 1e-4},
-                      LinkCase{9, true, 1e-4}, LinkCase{10, false, 3e-3}));
+                      LinkCase{9, true, 1e-4}, LinkCase{10, false, 3e-3}),
+    case_param_name);
 
 // ---------------------------------------------------------------------------
 // Determinism: identical seeds give identical delivery transcripts, for
@@ -157,7 +177,8 @@ TEST_P(DeterminismP, IdenticalSeedsIdenticalTranscripts) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndScenarios, DeterminismP,
     ::testing::Values(LinkCase{11, false, 0.0}, LinkCase{12, false, 1e-3},
-                      LinkCase{13, true, 0.0}, LinkCase{14, true, 1e-3}));
+                      LinkCase{13, true, 0.0}, LinkCase{14, true, 1e-3}),
+    case_param_name);
 
 }  // namespace
 }  // namespace qlink::core

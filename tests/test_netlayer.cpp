@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,17 +15,25 @@
 namespace qlink::netlayer {
 namespace {
 
-NetworkConfig chain_config(std::size_t links, std::uint64_t seed) {
-  NetworkConfig c;
-  c.kind = TopologyKind::kChain;
-  c.num_links = links;
-  c.seed = seed;
+NetworkConfig lab_config(const routing::Graph& graph, std::uint64_t seed) {
+  NetworkConfig c =
+      routing::make_network_config(graph, core::LinkConfig{}, seed);
   c.link.scenario = hw::ScenarioParams::lab();
   // Decoherence-protected carbon memory (see examples/chain_e2e_nl.cpp):
   // pairs wait for the slowest hop.
   c.link.scenario.nv.carbon_t2_ns = 0.5e9;
   c.link.scenario.nv.carbon_coupling_rad_per_s /= 10.0;
   return c;
+}
+
+/// Nodes 0..links, link i between nodes i and i + 1.
+NetworkConfig chain_config(std::size_t links, std::uint64_t seed) {
+  return lab_config(routing::Graph::chain(links + 1), seed);
+}
+
+/// Center node 0, leaf i + 1 on link i's A side.
+NetworkConfig star_config(std::size_t leaves, std::uint64_t seed) {
+  return lab_config(routing::Graph::star(leaves), seed);
 }
 
 TEST(Topology, ChainNodesAndEndpoints) {
@@ -56,10 +65,19 @@ TEST(Topology, ChainPathIsOrderedAndOriented) {
   EXPECT_THROW(net.path(0, 7), std::invalid_argument);
 }
 
+TEST(Topology, StarNodesAndEndpoints) {
+  QuantumNetwork net(star_config(3, 1));
+  EXPECT_EQ(net.num_links(), 3u);
+  EXPECT_EQ(net.num_nodes(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto [a, b] = net.endpoints(i);
+    EXPECT_EQ(a, i + 1);  // leaf on the A side
+    EXPECT_EQ(b, 0u);     // center on the B side
+  }
+}
+
 TEST(Topology, StarRoutesThroughCenter) {
-  NetworkConfig c = chain_config(3, 1);
-  c.kind = TopologyKind::kStar;
-  QuantumNetwork net(c);
+  QuantumNetwork net(star_config(3, 1));
   EXPECT_EQ(net.num_nodes(), 4u);  // center 0, leaves 1..3
   const auto leaf_to_leaf = net.path(1, 3);
   ASSERT_EQ(leaf_to_leaf.size(), 2u);
@@ -73,8 +91,15 @@ TEST(Topology, StarRoutesThroughCenter) {
   EXPECT_FALSE(to_center[0].reversed);
 }
 
-/// Malformed explicit edge lists must be rejected loudly (self-loops,
-/// duplicate links, unknown node ids), not silently mis-route.
+/// Malformed explicit edge lists must be rejected loudly (no links,
+/// self-loops, duplicate links, unknown node ids), not silently
+/// mis-route.
+TEST(Topology, RejectsAnEmptyEdgeList) {
+  NetworkConfig c = chain_config(2, 1);
+  c.edges.clear();
+  EXPECT_THROW(QuantumNetwork net(c), std::invalid_argument);
+}
+
 TEST(Topology, RejectsSelfLoops) {
   NetworkConfig c = chain_config(2, 1);
   c.edges = {{0, 1}, {1, 1}};
@@ -99,6 +124,7 @@ TEST(Topology, RejectsUnknownNodeIds) {
 TEST(Topology, EdgeListBuildsGeneralGraphs) {
   NetworkConfig c = chain_config(2, 1);
   c.edges = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};
+  c.num_nodes = 0;  // inferred: max listed id + 1
   QuantumNetwork net(c);
   EXPECT_EQ(net.num_links(), 4u);
   EXPECT_EQ(net.num_nodes(), 4u);
@@ -174,9 +200,7 @@ TEST(SwapService, ThreeNodeChainDeliversEndToEndPair) {
 /// Swapping also works across a star: the reversed-hop orientation at
 /// the center node must be handled.
 TEST(SwapService, StarLeafToLeafDelivers) {
-  NetworkConfig c = chain_config(2, 5);
-  c.kind = TopologyKind::kStar;
-  QuantumNetwork net(c);
+  QuantumNetwork net(star_config(2, 5));
   SwapService swap(net);
 
   std::vector<E2eOk> delivered;
@@ -368,6 +392,14 @@ TEST(SwapService, RoutedFiveHopPathBackendsAgree) {
 /// the full-detail and the flow-level plane alike.
 enum class PlaneKind { kSwap, kFlow };
 
+const char* plane_name(PlaneKind kind) {
+  return kind == PlaneKind::kSwap ? "SwapService" : "FlowPlane";
+}
+
+/// ctest's discovered names print the parameter: the plane's name, not
+/// the enum's raw bytes.
+void PrintTo(PlaneKind kind, std::ostream* os) { *os << plane_name(kind); }
+
 class PlaneRoutes : public ::testing::TestWithParam<PlaneKind> {};
 
 TEST_P(PlaneRoutes, RejectsMalformedRoutes) {
@@ -413,9 +445,7 @@ TEST_P(PlaneRoutes, RejectsMalformedRoutes) {
 INSTANTIATE_TEST_SUITE_P(BothPlanes, PlaneRoutes,
                          ::testing::Values(PlaneKind::kSwap, PlaneKind::kFlow),
                          [](const auto& info) {
-                           return info.param == PlaneKind::kSwap
-                                      ? std::string("SwapService")
-                                      : std::string("FlowPlane");
+                           return std::string(plane_name(info.param));
                          });
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "hw/herald_model.hpp"
 #include "net/packets.hpp"
@@ -81,6 +83,23 @@ struct BellNoiseCase {
   double depol_f;
 };
 
+/// Stable test-name suffix from the case's fields, noise strengths in
+/// percent, e.g. PsiMinus_dephase10pct_damp20pct_depol95pct. PrintTo
+/// prints the same string, so ctest's discovered names carry it instead
+/// of the struct's raw bytes.
+std::string case_name(const BellNoiseCase& c) {
+  static const char* const kStates[] = {"PhiPlus", "PhiMinus", "PsiPlus",
+                                        "PsiMinus"};
+  const auto pct = [](double x) {
+    return std::to_string(std::llround(x * 100));
+  };
+  return std::string(kStates[static_cast<int>(c.state)]) + "_dephase" +
+         pct(c.dephase) + "pct_damp" + pct(c.damp) + "pct_depol" +
+         pct(c.depol_f) + "pct";
+}
+
+void PrintTo(const BellNoiseCase& c, std::ostream* os) { *os << case_name(c); }
+
 class BellQberP : public ::testing::TestWithParam<BellNoiseCase> {};
 
 TEST_P(BellQberP, FidelityEqualsQberReconstruction) {
@@ -113,8 +132,11 @@ std::vector<BellNoiseCase> bell_noise_cases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBellStatesAllNoise, BellQberP,
-                         ::testing::ValuesIn(bell_noise_cases()));
+INSTANTIATE_TEST_SUITE_P(
+    AllBellStatesAllNoise, BellQberP, ::testing::ValuesIn(bell_noise_cases()),
+    [](const ::testing::TestParamInfo<BellNoiseCase>& info) {
+      return case_name(info.param);
+    });
 
 // ---------------------------------------------------------------------------
 // Herald model invariants over the full alpha grid.

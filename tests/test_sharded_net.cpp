@@ -11,6 +11,7 @@
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
 #include "qstate/state_store.hpp"
+#include "routing/router.hpp"
 #include "sim/sharded_engine.hpp"
 
 /// Sharded-run coverage (ISSUE 10): single-shard byte-identity against
@@ -22,10 +23,8 @@ namespace {
 
 netlayer::NetworkConfig chain_config(std::size_t links, std::uint64_t seed,
                                      qstate::BackendKind backend) {
-  netlayer::NetworkConfig c;
-  c.kind = netlayer::TopologyKind::kChain;
-  c.num_links = links;
-  c.seed = seed;
+  netlayer::NetworkConfig c = routing::make_network_config(
+      routing::Graph::chain(links + 1), core::LinkConfig{}, seed);
   c.link.scenario = hw::ScenarioParams::lab();
   c.link.scenario.nv.carbon_t2_ns = 0.5e9;
   c.link.scenario.nv.carbon_coupling_rad_per_s /= 10.0;
