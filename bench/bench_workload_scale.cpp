@@ -54,7 +54,6 @@
 //   asserts fastpath_tail_error <= fastpath_tolerance.
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -336,9 +335,9 @@ void run_scale(Harness& h, const Options& opt) {
 // Both legs run with the path cache off, so every request pays its
 // path search against the graph the router actually sees: the full
 // 16k-edge dragonfly for mono, the island's ~2k edges for shard. That
-// per-request locality — not thread count — is what sharded_speedup
-// (mono wall / shard wall, the CI-gated scalar) measures; on a
-// multi-core host the engine additionally runs islands on threads.
+// per-request locality is what sharded_speedup (mono wall / shard
+// wall, the CI-gated scalar) measures: the engine runs the islands one
+// after another on the calling thread.
 
 /// Per-island node lists (global ids, ascending) under the blocks rule.
 std::vector<std::vector<std::uint32_t>> island_nodes(
@@ -519,7 +518,7 @@ double run_island_shard(Harness& h, const Options& opt,
   const sim::SimTime heartbeat_period = sim::duration::milliseconds(100);
   std::vector<std::unique_ptr<sim::Random>> channel_randoms;
   std::vector<std::unique_ptr<net::ClassicalChannel>> channels;
-  std::atomic<std::uint64_t> heartbeats{0};
+  std::uint64_t heartbeats = 0;
   for (std::size_t s = 0; s + 1 < shards; ++s) {
     channel_randoms.push_back(
         std::make_unique<sim::Random>(island_seed(opt, s) ^ 0x5eedULL));
@@ -530,10 +529,10 @@ double run_island_shard(Harness& h, const Options& opt,
         *channel_randoms[2 * s + 1],
         "heartbeat." + std::to_string(s), heartbeat_delay));
     channels[s]->set_receiver(0, [&heartbeats](std::vector<std::uint8_t>) {
-      heartbeats.fetch_add(1, std::memory_order_relaxed);
+      ++heartbeats;
     });
     channels[s]->set_receiver(1, [&heartbeats](std::vector<std::uint8_t>) {
-      heartbeats.fetch_add(1, std::memory_order_relaxed);
+      ++heartbeats;
     });
   }
   // One self-rescheduling tick per island, on that island's own heap.
@@ -599,17 +598,14 @@ double run_island_shard(Harness& h, const Options& opt,
   h.add(std::move(row));
 
   const auto es = engine.stats();
-  std::printf("  -> engine: %zu shards (threads %s), %llu rounds "
-              "(%llu parallel, %llu idle jumps), %llu cross-shard events "
-              "posted / %llu drained, %llu heartbeats\n",
-              shards, engine.threads_enabled() ? "on" : "off",
-              static_cast<unsigned long long>(es.rounds),
-              static_cast<unsigned long long>(es.parallel_rounds),
+  std::printf("  -> engine: %zu shards, %llu rounds (%llu idle jumps), "
+              "%llu cross-shard events posted / %llu drained, "
+              "%llu heartbeats\n",
+              shards, static_cast<unsigned long long>(es.rounds),
               static_cast<unsigned long long>(es.idle_jumps),
               static_cast<unsigned long long>(es.posted),
               static_cast<unsigned long long>(es.drained),
-              static_cast<unsigned long long>(
-                  heartbeats.load(std::memory_order_relaxed)));
+              static_cast<unsigned long long>(heartbeats));
   return wall_seconds;
 }
 

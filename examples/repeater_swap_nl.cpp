@@ -13,11 +13,12 @@
 
 #include "core/network.hpp"
 #include "quantum/bell.hpp"
+#include "quantum/protocols.hpp"
 
 using namespace qlink;
 using namespace qlink::core;
-namespace gates = qlink::quantum::gates;
 namespace bell = qlink::quantum::bell;
+namespace protocols = qlink::quantum::protocols;
 
 int main() {
   LinkConfig config;
@@ -90,23 +91,15 @@ int main() {
   link.device_b().touch(b1);
   link.device_b().touch(b2);
 
-  // Entanglement swap at B: Bell measurement across its two halves.
-  const quantum::QubitId bb[] = {b1, b2};
-  reg.apply_unitary(gates::cnot(), bb);
-  const quantum::QubitId b1s[] = {b1};
-  reg.apply_unitary(gates::h(), b1s);
-  const int m1 = reg.measure(b1, gates::Basis::kZ);
-  const int m2 = reg.measure(b2, gates::Basis::kZ);
-  std::printf("swap at B: outcomes (%d, %d) announced classically\n", m1, m2);
-
-  // Corrections on A's second qubit. Delivered pairs are |Psi+>; the
-  // swap of two |Psi+> pairs with outcome (m1, m2) leaves A's qubits in
-  // X_a2 Z^m1_a2 X^m2_a2 |Phi+>-up-to-locals; fold everything into the
-  // standard table (X (x) I corrections for the Psi-vs-Phi offset).
-  const quantum::QubitId a2s[] = {a2};
-  reg.apply_unitary(gates::x(), a2s);  // Psi+ -> Phi+ frame for pair 2
-  if (m2 == 1) reg.apply_unitary(gates::x(), a2s);
-  if (m1 == 1) reg.apply_unitary(gates::z(), a2s);
+  // Entanglement swap at B: Bell measurement across its two halves,
+  // then the corrections on A's second qubit. Delivered pairs are
+  // |Psi+>; the swap of two |Psi+> pairs with outcome (m1, m2) leaves
+  // A's qubits in X_a2 Z^m1_a2 X^m2_a2 |Phi+>-up-to-locals, which the
+  // |Psi+> correction table (X, then X^m2, then Z^m1 on a2) undoes.
+  const protocols::BellMeasurement m = protocols::entanglement_swap(
+      reg, b1, b2, a2, bell::BellState::kPsiPlus);
+  std::printf("swap at B: outcomes (%d, %d) announced classically\n", m.m1,
+              m.m2);
 
   // A's two local qubits (never interacted!) are now entangled. The
   // target frame: pair1 was |Psi+>, so the joint state is (X on a1)

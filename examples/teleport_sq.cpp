@@ -11,10 +11,12 @@
 
 #include "core/network.hpp"
 #include "quantum/bell.hpp"
+#include "quantum/protocols.hpp"
 
 using namespace qlink;
 using namespace qlink::core;
 namespace gates = qlink::quantum::gates;
+namespace protocols = qlink::quantum::protocols;
 
 int main() {
   LinkConfig config;
@@ -67,20 +69,15 @@ int main() {
   const quantum::QubitId qb = ok_b->qubit;
   link.device_a().touch(qa);
   link.device_b().touch(qb);
-  const quantum::QubitId pair[] = {data, qa};
-  reg.apply_unitary(gates::cnot(), pair);
-  reg.apply_unitary(gates::h(), d);
-  const int m1 = reg.measure(data, gates::Basis::kZ);
-  const int m2 = reg.measure(qa, gates::Basis::kZ);
+  const protocols::BellMeasurement m = protocols::bell_measure(reg, data, qa);
   std::printf("Bell measurement at A: m1=%d m2=%d (2 classical bits to B)\n",
-              m1, m2);
+              m.m1, m.m2);
 
   // B: delivered state is |Psi+> = (I (x) X)|Phi+>; undo the X, then the
   // standard corrections X^m2 Z^m1.
+  protocols::apply_teleport_corrections(reg, qb, m,
+                                        quantum::bell::BellState::kPsiPlus);
   const quantum::QubitId b[] = {qb};
-  reg.apply_unitary(gates::x(), b);
-  if (m2 == 1) reg.apply_unitary(gates::x(), b);
-  if (m1 == 1) reg.apply_unitary(gates::z(), b);
 
   const double fidelity = reg.peek(b).fidelity(psi);
   std::printf("teleported-state fidelity at B: %.4f\n", fidelity);

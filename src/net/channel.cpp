@@ -12,16 +12,16 @@ void ClassicalChannel::send_from(int end, std::vector<std::uint8_t> frame) {
   }
   const auto src = static_cast<std::size_t>(end);
   const auto dest = static_cast<std::size_t>(1 - end);
-  sent_.fetch_add(1, std::memory_order_relaxed);
+  ++sent_;
   if (randoms_[src]->bernoulli(loss_probability_)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return;
   }
   const sim::SimTime at = sims_[src]->now() + delay_;
   auto deliver = [this, dest, data = std::move(frame)]() mutable {
     Handler& h = receivers_[dest];
     if (!h) return;  // unconnected endpoint: frame silently discarded
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+    ++delivered_;
     h(std::move(data));
   };
   if (engine_ != nullptr && shards_[src] != shards_[dest]) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -81,15 +80,9 @@ class ClassicalChannel : public sim::Entity {
     return engine_ != nullptr && shards_[0] != shards_[1];
   }
 
-  std::uint64_t frames_sent() const noexcept {
-    return sent_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t frames_delivered() const noexcept {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t frames_dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t frames_sent() const noexcept { return sent_; }
+  std::uint64_t frames_delivered() const noexcept { return delivered_; }
+  std::uint64_t frames_dropped() const noexcept { return dropped_; }
 
  private:
   sim::SimTime delay_;
@@ -99,11 +92,9 @@ class ClassicalChannel : public sim::Entity {
   std::array<sim::Random*, 2> randoms_;
   double loss_probability_;
   std::array<Handler, 2> receivers_{};
-  // Both endpoints may send concurrently from their shard threads, so
-  // the counters are relaxed atomics.
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> dropped_{0};
+  std::uint64_t sent_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace qlink::net

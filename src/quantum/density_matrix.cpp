@@ -131,12 +131,6 @@ void DensityMatrix::apply_kraus(std::span<const Matrix> kraus,
   m_ = std::move(acc);
 }
 
-double DensityMatrix::povm_probability(const Matrix& effect,
-                                       std::span<const int> targets) const {
-  const Matrix full = expand_operator(effect, targets, num_qubits_);
-  return (full * m_).trace().real();
-}
-
 double DensityMatrix::apply_and_renormalize(const Matrix& op,
                                             std::span<const int> targets) {
   const Matrix full = expand_operator(op, targets, num_qubits_);

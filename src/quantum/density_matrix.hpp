@@ -37,10 +37,6 @@ class DensityMatrix {
   void apply_kraus(std::span<const Matrix> kraus,
                    std::span<const int> targets);
 
-  /// Probability tr(E rho) of POVM element E acting on the targets.
-  double povm_probability(const Matrix& effect,
-                          std::span<const int> targets) const;
-
   /// rho -> K rho K^dagger / p for one Kraus/measurement operator.
   /// Returns the (pre-normalisation) probability p; if p ~ 0 the state is
   /// left untouched and 0 is returned.

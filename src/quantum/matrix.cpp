@@ -5,12 +5,10 @@
 
 namespace qlink::quantum {
 
-std::atomic<std::uint64_t> Matrix::heap_allocations_{0};
-
 Matrix::Matrix(std::initializer_list<std::initializer_list<Complex>> rows) {
   rows_ = rows.size();
   cols_ = rows_ == 0 ? 0 : rows.begin()->size();
-  if (rows_ * cols_ > 0) heap_allocations_.fetch_add(1, std::memory_order_relaxed);
+  if (rows_ * cols_ > 0) ++heap_allocations_;
   data_.reserve(rows_ * cols_);
   for (const auto& row : rows) {
     if (row.size() != cols_) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
@@ -28,7 +27,7 @@ class Matrix {
   /// Zero matrix of the given shape.
   Matrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, Complex{0.0, 0.0}) {
-    if (!data_.empty()) heap_allocations_.fetch_add(1, std::memory_order_relaxed);
+    if (!data_.empty()) ++heap_allocations_;
   }
 
   /// Build from nested initializer lists: Matrix{{a,b},{c,d}}.
@@ -40,7 +39,7 @@ class Matrix {
   /// and is asserted on in tests/test_matrix.cpp.
   Matrix(const Matrix& other)
       : rows_(other.rows_), cols_(other.cols_), data_(other.data_) {
-    if (!data_.empty()) heap_allocations_.fetch_add(1, std::memory_order_relaxed);
+    if (!data_.empty()) ++heap_allocations_;
   }
   Matrix(Matrix&& other) noexcept
       : rows_(other.rows_), cols_(other.cols_), data_(std::move(other.data_)) {
@@ -51,7 +50,7 @@ class Matrix {
   Matrix& operator=(const Matrix& other) {
     if (this == &other) return *this;
     if (data_.capacity() < other.data_.size() && !other.data_.empty()) {
-      heap_allocations_.fetch_add(1, std::memory_order_relaxed);
+      ++heap_allocations_;
     }
     rows_ = other.rows_;
     cols_ = other.cols_;
@@ -72,7 +71,7 @@ class Matrix {
   /// Total heap allocations made by Matrix construction/copying so far
   /// (monotone; diff across a region to bound its allocation count).
   static std::uint64_t heap_allocations() noexcept {
-    return heap_allocations_.load(std::memory_order_relaxed);
+    return heap_allocations_;
   }
 
   static Matrix identity(std::size_t n);
@@ -122,9 +121,7 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<Complex> data_;
-  // Shards run on threads (sim/sharded_engine.hpp), so the counter must
-  // be atomic; relaxed increments keep it near-free on the hot path.
-  static std::atomic<std::uint64_t> heap_allocations_;
+  inline static std::uint64_t heap_allocations_ = 0;
 };
 
 Matrix operator*(Complex scalar, const Matrix& m);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <string>
-#include <thread>
 
 namespace qlink::sim {
 
@@ -48,27 +47,15 @@ void ShardAssignment::validate_intra_shard(
 
 // -- ShardedEngine ---------------------------------------------------------
 
-ShardedEngine::ShardedEngine(Config config) : config_(config) {
-  if (config_.num_shards == 0) {
+ShardedEngine::ShardedEngine(Config config) {
+  if (config.num_shards == 0) {
     throw std::invalid_argument("ShardedEngine: num_shards == 0");
   }
-  sims_.reserve(config_.num_shards);
-  for (std::size_t i = 0; i < config_.num_shards; ++i) {
+  sims_.reserve(config.num_shards);
+  for (std::size_t i = 0; i < config.num_shards; ++i) {
     sims_.push_back(std::make_unique<Simulator>());
   }
-  couplings_.resize(config_.num_shards * config_.num_shards);
-  switch (config_.parallel) {
-    case Parallel::kOn:
-      threads_ = config_.num_shards > 1;
-      break;
-    case Parallel::kOff:
-      threads_ = false;
-      break;
-    case Parallel::kAuto:
-      threads_ =
-          config_.num_shards > 1 && std::thread::hardware_concurrency() > 1;
-      break;
-  }
+  couplings_.resize(config.num_shards * config.num_shards);
 }
 
 void ShardedEngine::connect(std::size_t from, std::size_t to,
@@ -117,7 +104,7 @@ void ShardedEngine::post(std::size_t from, std::size_t to, SimTime at,
     throw std::invalid_argument(
         "ShardedEngine::post: time under the lookahead floor");
   }
-  ++c.posted;
+  ++stats_.posted;
   c.outbox.push_back(CrossEvent{at, label, std::move(fn)});
 }
 
@@ -145,8 +132,6 @@ void ShardedEngine::run_until(SimTime t) {
   drain_all();  // posts made outside a round (setup code)
   std::vector<SimTime> bound(s);
   std::vector<SimTime> next(s);  // each shard's next_event_time this round
-  std::vector<std::size_t> work;
-  work.reserve(s);
   for (;;) {
     bool all_done = true;
     for (std::size_t i = 0; i < s; ++i) {
@@ -159,6 +144,7 @@ void ShardedEngine::run_until(SimTime t) {
 
     // Conservative bound per shard from the pre-round clocks: nothing
     // can arrive from `from` before clock_from + lookahead.
+    bool runnable = false;  // some shard has an event under its bound
     for (std::size_t to = 0; to < s; ++to) {
       SimTime b = t;
       for (std::size_t from = 0; from < s; ++from) {
@@ -167,50 +153,28 @@ void ShardedEngine::run_until(SimTime t) {
       }
       bound[to] = std::max(b, sims_[to]->now());
       next[to] = sims_[to]->next_event_time();
+      if (next[to] != Simulator::kNoEventTime && next[to] <= bound[to]) {
+        runnable = true;
+      }
     }
 
-    // The shards with a runnable event under their bound.
-    const auto collect_work = [&] {
-      work.clear();
-      for (std::size_t i = 0; i < s; ++i) {
-        if (next[i] != Simulator::kNoEventTime && next[i] <= bound[i]) {
-          work.push_back(i);
-        }
-      }
-    };
-    collect_work();
     // If no shard can execute anything under its bound, fast-forward to
     // the globally earliest pending event: handlers are the only source
     // of new events, and none can run before that time.
-    if (work.empty()) {
+    if (!runnable) {
       SimTime target = t;
       for (std::size_t i = 0; i < s; ++i) target = std::min(target, next[i]);
       ++stats_.idle_jumps;
       for (std::size_t i = 0; i < s; ++i) {
         bound[i] = std::max(sims_[i]->now(), target);
       }
-      collect_work();
     }
 
     // Shards share nothing within a round (cross-shard sends buffer in
-    // the outboxes), so threaded execution matches sequential execution
-    // state-for-state.
-    if (threads_ && work.size() > 1) {
-      ++stats_.parallel_rounds;
-      std::vector<std::thread> threads;
-      threads.reserve(work.size());
-      for (std::size_t i : work) {
-        threads.emplace_back(
-            [this, i, b = bound[i]] { sims_[i]->run_until(b); });
-      }
-      for (std::thread& th : threads) th.join();
-    } else {
-      for (std::size_t i : work) sims_[i]->run_until(bound[i]);
-    }
-    // Event-free shards just advance their clocks (no user code runs).
-    for (std::size_t i = 0; i < s; ++i) {
-      if (sims_[i]->now() < bound[i]) sims_[i]->run_until(bound[i]);
-    }
+    // the outboxes), so the order they run in is unobservable; shard
+    // order keeps it fixed. A shard with no event under its bound runs
+    // no handler and only advances its clock.
+    for (std::size_t i = 0; i < s; ++i) sims_[i]->run_until(bound[i]);
 
     ++stats_.rounds;
     drain_all();
@@ -221,12 +185,6 @@ SimTime ShardedEngine::now() const {
   SimTime m = sims_[0]->now();
   for (const auto& sim : sims_) m = std::min(m, sim->now());
   return m;
-}
-
-ShardedEngine::Stats ShardedEngine::stats() const {
-  Stats out = stats_;
-  for (const Coupling& c : couplings_) out.posted += c.posted;
-  return out;
 }
 
 std::uint64_t ShardedEngine::events_processed() const {

@@ -11,30 +11,30 @@
 #include "sim/time.hpp"
 
 /// \file sharded_engine.hpp
-/// Conservative parallel discrete-event engine: one Simulator per shard,
+/// Conservative sharded discrete-event engine: one Simulator per shard,
 /// cross-shard events through per-coupling outboxes, channel delays as
 /// lookahead.
 ///
 /// The network is partitioned into shards that interact only through
 /// classical channels with a known minimum delay D. That delay is the
-/// conservative lookahead of classic CMB-style parallel simulation: if
-/// shard `from` has clock c, nothing it does can affect shard `to`
-/// before c + D, so `to` may safely run to min over incoming couplings
-/// of (c_from + D − 1). The engine advances all shards round by round:
+/// conservative lookahead of classic CMB-style simulation: if shard
+/// `from` has clock c, nothing it does can affect shard `to` before
+/// c + D, so `to` may safely run to min over incoming couplings of
+/// (c_from + D − 1). The engine advances all shards round by round, on
+/// the calling thread:
 ///
 ///   drain outboxes → compute per-shard bounds → run each shard to its
-///   bound (in threads when enabled) → drain outboxes → repeat
+///   bound, in shard order → drain outboxes → repeat
 ///
 /// Within a round shards share nothing: cross-shard sends go through
-/// ShardedEngine::post, which appends to the per-(from,to) outbox. Each
-/// outbox has a single writer (the thread running `from`) and is read
-/// only at the barrier, after every shard thread has joined, so it needs
-/// no lock. The engine drains outboxes in fixed (from, to)-lexicographic
-/// order, FIFO within each outbox. Because of that, parallel execution
-/// is *identical* to running the shards sequentially in shard order —
-/// determinism is per (seed, shard count), independent of thread
-/// interleaving. With one shard the engine is a pass-through to the
-/// single Simulator, byte-identical to pre-sharding behaviour.
+/// ShardedEngine::post, which appends to the per-(from,to) outbox, read
+/// only at the barrier. The engine drains outboxes in fixed
+/// (from, to)-lexicographic order, FIFO within each outbox, so
+/// determinism is per (seed, shard count). With one shard the engine is
+/// a pass-through to the single Simulator, byte-identical to
+/// pre-sharding behaviour. Sharding pays through locality (each island
+/// routes over its own small graph), not concurrency: DESIGN.md's
+/// "Sharded engine" records why threaded rounds were removed.
 ///
 /// When no shard has a runnable event under its bound, the engine
 /// fast-forwards every clock to the globally earliest pending event
@@ -82,20 +82,19 @@ struct ShardAssignment {
 
 class ShardedEngine {
  public:
-  enum class Parallel {
-    kAuto,  ///< threads iff num_shards > 1 and the host has > 1 core
-    kOn,
-    kOff,
-  };
+  /// Ignored: rounds always run on the calling thread. Kept because
+  /// benches still name it.
+  enum class Parallel { kAuto, kOff };
 
   struct Config {
     std::size_t num_shards = 1;
-    Parallel parallel = Parallel::kAuto;
+    Parallel parallel = Parallel::kAuto;  ///< ignored
   };
 
   struct Stats {
     std::uint64_t rounds = 0;          ///< barrier rounds executed
-    std::uint64_t parallel_rounds = 0;  ///< rounds run on threads
+    /// Always 0: no round runs on threads. Kept because benches report it.
+    std::uint64_t parallel_rounds = 0;
     std::uint64_t idle_jumps = 0;      ///< rounds fast-forwarded to the
                                        ///< next global event
     std::uint64_t posted = 0;          ///< cross-shard events posted
@@ -138,8 +137,8 @@ class ShardedEngine {
   SimTime lookahead(std::size_t from, std::size_t to) const;
 
   /// Cross-shard send: schedule \p fn at absolute time \p at on shard
-  /// \p to. Callable from `from`'s shard thread mid-round (this is the
-  /// only cross-shard channel there is). Throws std::logic_error when
+  /// \p to. Callable from `from`'s handlers mid-round (this is the only
+  /// cross-shard channel there is). Throws std::logic_error when
   /// the pair is not connected and std::invalid_argument when \p at is
   /// below `from`'s clock plus the declared lookahead.
   void post(std::size_t from, std::size_t to, SimTime at,
@@ -153,10 +152,7 @@ class ShardedEngine {
   /// The slowest shard's clock (== every shard's clock outside run_until).
   SimTime now() const;
 
-  /// True when run_until uses one thread per runnable shard.
-  bool threads_enabled() const noexcept { return threads_; }
-
-  Stats stats() const;
+  Stats stats() const { return stats_; }
 
   // -- Merged telemetry --------------------------------------------------
 
@@ -174,15 +170,11 @@ class ShardedEngine {
     std::function<void()> fn;
   };
 
-  /// One directional (from, to) channel. Only the thread running shard
-  /// `from` writes `outbox` and `posted`, and only between barriers; the
-  /// engine reads them at the barrier, after that thread has joined.
-  /// One cache line each: shard threads post to neighbouring couplings
-  /// concurrently.
-  struct alignas(64) Coupling {
+  /// One directional (from, to) channel. Only shard `from`'s handlers
+  /// fill `outbox`; the engine drains it at the barrier.
+  struct Coupling {
     SimTime min_delay = 0;  ///< 0 = not connected
     std::vector<CrossEvent> outbox;
-    std::uint64_t posted = 0;
   };
 
   Coupling& coupling(std::size_t from, std::size_t to) noexcept {
@@ -194,14 +186,12 @@ class ShardedEngine {
 
   /// Deliver every outbox entry to its target simulator, in
   /// (from, to)-lexicographic order, FIFO within an outbox. Caller must
-  /// be at a barrier (no shard threads running).
+  /// be at a barrier (no shard mid-round).
   void drain_all();
 
-  Config config_;
-  bool threads_ = false;
   std::vector<std::unique_ptr<Simulator>> sims_;
   std::vector<Coupling> couplings_;  // num_shards^2, row-major by `from`
-  Stats stats_;  // barrier-side counters; `posted` lives in the couplings
+  Stats stats_;
 };
 
 inline Simulator& EngineRef::sim() const {

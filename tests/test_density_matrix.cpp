@@ -78,15 +78,6 @@ TEST(DensityMatrix, KrausDephasingKillsCoherence) {
   EXPECT_NEAR(rho.purity(), 0.5, 1e-12);
 }
 
-TEST(DensityMatrix, PovmProbability) {
-  DensityMatrix rho(1);
-  const Matrix p1{{0, 0}, {0, 1}};
-  const int t[] = {0};
-  EXPECT_NEAR(rho.povm_probability(p1, t), 0.0, 1e-12);
-  rho.apply_unitary(gates::h(), t);
-  EXPECT_NEAR(rho.povm_probability(p1, t), 0.5, 1e-12);
-}
-
 TEST(DensityMatrix, ApplyAndRenormalizeProjects) {
   DensityMatrix rho(1);
   const int t[] = {0};

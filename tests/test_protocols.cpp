@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "quantum/channels.hpp"
@@ -53,6 +54,59 @@ TEST_F(ProtocolsTest, TeleportPerfectOverEveryBellState) {
       reg_.discard(hb);
     }
   }
+}
+
+TEST_F(ProtocolsTest, TeleportReplaysTheExplicitCircuitDrawForDraw) {
+  // On the dense backend, bell_measure + the |Psi+> correction table is
+  // CNOT, H, two Z measurements, then X, X^m2, Z^m1 on the receiver —
+  // with the same Random draws, so a caller may swap one for the other
+  // without moving any outcome.
+  sim::Random random_lib{99};
+  sim::Random random_gates{99};
+  QuantumRegistry lib{random_lib};
+  QuantumRegistry by_gates{random_gates};
+  auto prepare = [](QuantumRegistry& reg) {
+    const QubitId src = reg.create();
+    const QubitId s[] = {src};
+    reg.apply_unitary(gates::ry(0.7), s);
+    reg.apply_unitary(gates::rz(1.3), s);
+    const QubitId a = reg.create();
+    const QubitId b = reg.create();
+    const QubitId ab[] = {a, b};
+    reg.set_state(ab, DensityMatrix::from_pure(
+                          bell::state_vector(BellState::kPsiPlus)));
+    return std::array<QubitId, 3>{src, a, b};
+  };
+  for (int trial = 0; trial < 32; ++trial) {
+    const auto [ls, la, lb] = prepare(lib);
+    const BellMeasurement m = bell_measure(lib, ls, la);
+    apply_teleport_corrections(lib, lb, m, BellState::kPsiPlus);
+
+    const auto [gs, ga, gb] = prepare(by_gates);
+    const QubitId pair[] = {gs, ga};
+    const QubitId src[] = {gs};
+    by_gates.apply_unitary(gates::cnot(), pair);
+    by_gates.apply_unitary(gates::h(), src);
+    const int m1 = by_gates.measure(gs, gates::Basis::kZ);
+    const int m2 = by_gates.measure(ga, gates::Basis::kZ);
+    const QubitId recv[] = {gb};
+    by_gates.apply_unitary(gates::x(), recv);
+    if (m2 == 1) by_gates.apply_unitary(gates::x(), recv);
+    if (m1 == 1) by_gates.apply_unitary(gates::z(), recv);
+
+    EXPECT_EQ(m.m1, m1) << "trial " << trial;
+    EXPECT_EQ(m.m2, m2) << "trial " << trial;
+    const QubitId lr[] = {lb};
+    const Matrix diff = lib.peek(lr).matrix() - by_gates.peek(recv).matrix();
+    for (std::size_t r = 0; r < 2; ++r) {
+      for (std::size_t c = 0; c < 2; ++c) {
+        EXPECT_NEAR(std::abs(diff(r, c)), 0.0, 1e-12) << "trial " << trial;
+      }
+    }
+    for (QubitId q : {ls, la, lb}) lib.discard(q);
+    for (QubitId q : {gs, ga, gb}) by_gates.discard(q);
+  }
+  EXPECT_EQ(random_lib.uniform(), random_gates.uniform());
 }
 
 TEST_F(ProtocolsTest, TeleportBasisStatesExactly) {

@@ -85,7 +85,6 @@ TEST(ShardedEngine, RefBindsShardAndRejectsOutOfRange) {
 TEST(ShardedEngine, SingleShardDelegatesToSimulator) {
   ShardedEngine engine;  // default: one shard
   EXPECT_EQ(engine.num_shards(), 1u);
-  EXPECT_FALSE(engine.threads_enabled());
   std::vector<SimTime> fired;
   engine.sim(0).schedule_at(10, [&] { fired.push_back(10); });
   engine.sim(0).schedule_at(30, [&] { fired.push_back(30); });
@@ -138,19 +137,17 @@ TEST(ShardedEngine, CrossShardPostsRespectDelayAndOrder) {
   }
 }
 
-TEST(ShardedEngine, ParallelRoundsMatchSequentialExactly) {
-  // The determinism contract: thread interleaving must not be
-  // observable — parallel rounds produce the same trace as running
-  // the shards sequentially in shard order.
-  const auto seq = ping_pong(ShardedEngine::Parallel::kOff, 40, 7);
-  const auto par = ping_pong(ShardedEngine::Parallel::kOn, 40, 7);
-  EXPECT_EQ(seq, par);
+TEST(ShardedEngine, ParallelModeDoesNotChangePingPongTrace) {
+  // Config::parallel is ignored: kAuto runs the shards in shard order
+  // on the calling thread, exactly as kOff does.
+  const auto off = ping_pong(ShardedEngine::Parallel::kOff, 40, 7);
+  const auto automatic = ping_pong(ShardedEngine::Parallel::kAuto, 40, 7);
+  EXPECT_EQ(off, automatic);
 }
 
-/// Both shards busy every round — the rounds genuinely run on two
-/// threads under kOn — with cross-posts in both directions. Handlers
-/// write only their own shard's trace, so the only sharing is the
-/// engine's own machinery (what TSan checks here).
+/// Both shards busy every round, with cross-posts in both directions.
+/// Handlers write only their own shard's trace; the other shard sees a
+/// post only after the barrier drains it.
 std::vector<std::vector<std::pair<SimTime, int>>> busy_shards(
     ShardedEngine::Parallel parallel) {
   ShardedEngine::Config cfg;
@@ -187,12 +184,12 @@ std::vector<std::vector<std::pair<SimTime, int>>> busy_shards(
   return trace;
 }
 
-TEST(ShardedEngine, ConcurrentShardsReplaySequentialTrace) {
-  const auto seq = busy_shards(ShardedEngine::Parallel::kOff);
-  const auto par = busy_shards(ShardedEngine::Parallel::kOn);
-  ASSERT_EQ(seq.size(), par.size());
-  EXPECT_GT(seq[0].size(), 100u);
-  EXPECT_EQ(seq, par);
+TEST(ShardedEngine, BusyShardsReplayTheSameTraceInEveryMode) {
+  const auto off = busy_shards(ShardedEngine::Parallel::kOff);
+  const auto automatic = busy_shards(ShardedEngine::Parallel::kAuto);
+  ASSERT_EQ(off.size(), automatic.size());
+  EXPECT_GT(off[0].size(), 100u);
+  EXPECT_EQ(off, automatic);
 }
 
 TEST(ShardedEngine, IdleJumpFastForwardsQuietStretches) {
@@ -215,7 +212,7 @@ TEST(ShardedEngine, IdleJumpFastForwardsQuietStretches) {
 }
 
 /// One shard-0 event posts a 2,500-event burst in one round: every post
-/// is delivered, FIFO, and threads change nothing.
+/// is delivered, FIFO, and no round runs on threads.
 std::vector<int> burst(ShardedEngine::Parallel mode) {
   constexpr int kBurst = 2500;
   ShardedEngine::Config cfg;
@@ -230,24 +227,22 @@ std::vector<int> burst(ShardedEngine::Parallel mode) {
       engine.post(0, 1, 10 + i / 100, [&got, i] { got.push_back(i); });
     }
   });
-  // Keep shard 1 busy in the same round, so kOn runs it on a thread.
+  // Keep shard 1 busy in the same round as shard 0's burst.
   engine.sim(1).schedule_at(1, [] {});
   engine.run_until(100);
   const auto stats = engine.stats();
   EXPECT_EQ(stats.posted, static_cast<std::uint64_t>(kBurst));
   EXPECT_EQ(stats.drained, stats.posted);
   EXPECT_EQ(stats.ring_overflows, 0u);
-  if (mode == ShardedEngine::Parallel::kOn) {
-    EXPECT_GT(stats.parallel_rounds, 0u);
-  }
+  EXPECT_EQ(stats.parallel_rounds, 0u);
   return got;
 }
 
-TEST(ShardedEngine, BurstPostsKeepFifoUnderThreads) {
-  const auto seq = burst(ShardedEngine::Parallel::kOff);
-  ASSERT_EQ(seq.size(), 2500u);
-  for (int i = 0; i < 2500; ++i) EXPECT_EQ(seq[i], i);
-  EXPECT_EQ(burst(ShardedEngine::Parallel::kOn), seq);
+TEST(ShardedEngine, BurstPostsKeepFifoInEveryMode) {
+  const auto off = burst(ShardedEngine::Parallel::kOff);
+  ASSERT_EQ(off.size(), 2500u);
+  for (int i = 0; i < 2500; ++i) EXPECT_EQ(off[i], i);
+  EXPECT_EQ(burst(ShardedEngine::Parallel::kAuto), off);
 }
 
 /// Shards 0 and 2 post to shard 1 for the same instant within one
@@ -282,10 +277,10 @@ std::vector<int> same_instant_posts(ShardedEngine::Parallel mode) {
 
 TEST(ShardedEngine, DrainOrdersOutboxesBySourceShard) {
   // Delivery follows (from, to) order, FIFO within an outbox — not the
-  // simulated or wall-clock order in which the shards posted.
+  // simulated order in which the shards posted.
   const std::vector<int> expected{0, 1, 20, 21};
   EXPECT_EQ(same_instant_posts(ShardedEngine::Parallel::kOff), expected);
-  EXPECT_EQ(same_instant_posts(ShardedEngine::Parallel::kOn), expected);
+  EXPECT_EQ(same_instant_posts(ShardedEngine::Parallel::kAuto), expected);
 }
 
 // ---------------------------------------------------------------------
