@@ -13,11 +13,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -746,9 +748,14 @@ void appB(Harness& h, Row&) {
       "Lab, K-type stream at F_min = 0.64; sweep test probability q");
   h.columns({{"case", "q", -6},
              {"tests", "tests", 10},
-             {"feu_estimate", "FEU est.", 12},
-             {"true_fidelity", "true F", 12},
-             {"t_per_s", "T (1/s)", 12}});
+             {"heralded_tests", "heralded", 10},
+             {"window_x", "n_X", 6},
+             {"window_y", "n_Y", 6},
+             {"window_z", "n_Z", 6},
+             {"feu_estimate", "FEU est.", 10},
+             {"feu_se", "+- s.e.", 9},
+             {"true_fidelity", "true F", 10},
+             {"t_per_s", "T (1/s)", 10}});
   const double kSeconds = 30.0;
   for (const double q : {0.0, 0.05, 0.1, 0.2, 0.4}) {
     core::LinkConfig cfg;
@@ -785,13 +792,29 @@ void appB(Harness& h, Row&) {
     link.egp_a().create(r);
     link.run_for(sim::duration::seconds(kSeconds));
 
+    // `tests` counts test-round attempts; only heralded ones reach the
+    // FEU, whose per-basis windows set the estimate's standard error:
+    // F = 1 - (q_X + q_Y + q_Z) / 2, so s.e. = sqrt(sum q(1-q)/n) / 2.
+    const core::FidelityEstimationUnit& feu = link.egp_a().feu();
     Row row = entry("appB", format("%.2f", q));
-    row.count("tests", link.egp_a().stats().test_rounds);
-    if (const auto estimate =
-            link.egp_a().feu().estimated_fidelity_from_tests()) {
-      row.num("feu_estimate", *estimate, 4);
+    row.count("tests", link.egp_a().stats().test_rounds)
+        .count("heralded_tests", feu.test_rounds_recorded());
+    double variance = 0.0;
+    for (const auto& [key, basis] :
+         {std::pair{"window_x", quantum::gates::Basis::kX},
+          std::pair{"window_y", quantum::gates::Basis::kY},
+          std::pair{"window_z", quantum::gates::Basis::kZ}}) {
+      const std::size_t n = feu.window_samples(basis);
+      row.count(key, n);
+      if (const auto qber = feu.measured_qber(basis)) {
+        variance += *qber * (1.0 - *qber) / static_cast<double>(n);
+      }
+    }
+    if (const auto estimate = feu.estimated_fidelity_from_tests()) {
+      row.num("feu_estimate", *estimate, 4)
+          .num("feu_se", 0.5 * std::sqrt(variance), 4);
     } else {
-      row.text("feu_estimate", "n/a");
+      row.text("feu_estimate", "n/a").text("feu_se", "n/a");
     }
     h.add(row.num("true_fidelity", true_f.mean(), 4)
               .num("t_per_s", static_cast<double>(delivered) / kSeconds, 3));

@@ -31,7 +31,7 @@
 //               graph on a single heap; island-shard gives each
 //               island its own shard (sim::ShardedEngine) + induced
 //               subgraph + Router, with live cross-shard heartbeat
-//               channels exercising the lookahead/barrier protocol.
+//               channels between consecutive islands.
 //               Both legs run with the path cache off so every
 //               request pays path search against the graph its
 //               router sees. The JSON's sharded_speedup scalar
@@ -330,7 +330,8 @@ void run_scale(Harness& h, const Options& opt) {
 //  island-shard  one FlowPlane + Router per island over its
 //                Graph::induced subgraph, all on one ShardedEngine,
 //                islands coupled by 50 ms classical heartbeat channels
-//                (the conservative lookahead the engine advances on).
+//                (the engine runs all shards as one merged event
+//                stream, so a cross-shard frame is a plain schedule).
 //
 // Both legs run with the path cache off, so every request pays its
 // path search against the graph the router actually sees: the full
@@ -511,9 +512,8 @@ double run_island_shard(Harness& h, const Options& opt,
   }
 
   // Heartbeats over the shard-crossing seam: a classical channel
-  // between consecutive islands, delay 50 ms (the lookahead), a frame
-  // each way every 100 ms. This is the cross-shard traffic the round
-  // protocol conservatively waits on.
+  // between consecutive islands, delay 50 ms, a frame each way every
+  // 100 ms. This is the only cross-shard traffic.
   const sim::SimTime heartbeat_delay = sim::duration::milliseconds(50);
   const sim::SimTime heartbeat_period = sim::duration::milliseconds(100);
   std::vector<std::unique_ptr<sim::Random>> channel_randoms;
@@ -597,15 +597,9 @@ double run_island_shard(Harness& h, const Options& opt,
   row.json("obs", "{}");
   h.add(std::move(row));
 
-  const auto es = engine.stats();
-  std::printf("  -> engine: %zu shards, %llu rounds (%llu idle jumps), "
-              "%llu cross-shard events posted / %llu drained, "
-              "%llu heartbeats\n",
-              shards, static_cast<unsigned long long>(es.rounds),
-              static_cast<unsigned long long>(es.idle_jumps),
-              static_cast<unsigned long long>(es.posted),
-              static_cast<unsigned long long>(es.drained),
-              static_cast<unsigned long long>(heartbeats));
+  std::printf("  -> engine: %zu shards merged in (time, shard) order, "
+              "%llu heartbeats delivered\n",
+              shards, static_cast<unsigned long long>(heartbeats));
   return wall_seconds;
 }
 

@@ -62,6 +62,12 @@ class FidelityEstimationUnit {
   /// Sliding-window QBER in one basis; nullopt if no samples yet.
   std::optional<double> measured_qber(quantum::gates::Basis basis) const;
 
+  /// Test rounds in one basis's window: the sample size behind
+  /// measured_qber(basis).
+  std::size_t window_samples(quantum::gates::Basis basis) const {
+    return errors_[static_cast<std::size_t>(basis)].size();
+  }
+
   /// Eq. 16 estimate from the three QBERs; nullopt until all three bases
   /// have samples.
   std::optional<double> estimated_fidelity_from_tests() const;

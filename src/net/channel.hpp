@@ -15,12 +15,12 @@
 /// errors are modelled at frame granularity, not bit granularity).
 ///
 /// A channel's two endpoints may live on different shards of a
-/// sim::ShardedEngine: construct with one EngineRef + Random per end and
-/// the channel becomes the explicit shard-crossing seam — a send whose
-/// endpoints are on different shards goes through ShardedEngine::post
-/// (the propagation delay doubles as the conservative lookahead, and the
-/// constructor registers the coupling), while same-shard sends schedule
-/// directly, exactly as the single-simulator constructor always has.
+/// sim::ShardedEngine: construct with one EngineRef + Random per end.
+/// A send schedules the delivery on the receiving end's Simulator at
+/// the sender's now() + delay, whichever shard that is; the engine's
+/// merged (time, shard index) order keeps that schedule in the
+/// receiver's future. Both constructors throw std::invalid_argument
+/// for a negative delay or a loss probability outside [0, 1].
 
 namespace qlink::net {
 
@@ -32,34 +32,26 @@ class ClassicalChannel : public sim::Entity {
                    sim::SimTime delay, sim::Random& random,
                    double loss_probability = 0.0)
       : Entity(simulator, std::move(name)),
-        delay_(delay),
+        delay_(checked_delay(delay)),
         sims_{&simulator, &simulator},
         randoms_{&random, &random},
-        loss_probability_(loss_probability) {}
+        loss_probability_(checked_loss(loss_probability)) {}
 
   /// Cross-shard channel: each endpoint is bound to one shard of the
   /// same engine and samples loss from its own end's Random (so an
-  /// island's random stream never depends on its peer). When the shards
-  /// differ this registers the coupling both ways — the delay must meet
-  /// ShardedEngine::kMinLookahead or the engine throws.
+  /// island's random stream never depends on its peer).
   ClassicalChannel(sim::EngineRef end0, sim::Random& random0,
                    sim::EngineRef end1, sim::Random& random1,
                    std::string name, sim::SimTime delay,
                    double loss_probability = 0.0)
       : Entity(end0.sim(), std::move(name)),
-        delay_(delay),
-        engine_(end0.engine),
-        shards_{end0.shard, end1.shard},
+        delay_(checked_delay(delay)),
         sims_{&end0.sim(), &end1.sim()},
         randoms_{&random0, &random1},
-        loss_probability_(loss_probability) {
-    if (end1.engine != engine_) {
+        loss_probability_(checked_loss(loss_probability)) {
+    if (end1.engine != end0.engine) {
       throw std::invalid_argument(
           "ClassicalChannel: endpoints bound to different engines");
-    }
-    if (shards_[0] != shards_[1]) {
-      engine_->connect(shards_[0], shards_[1], delay_);
-      engine_->connect(shards_[1], shards_[0], delay_);
     }
   }
 
@@ -73,21 +65,18 @@ class ClassicalChannel : public sim::Entity {
 
   sim::SimTime delay() const noexcept { return delay_; }
   double loss_probability() const noexcept { return loss_probability_; }
-  void set_loss_probability(double p) noexcept { loss_probability_ = p; }
-
-  /// True when the two endpoints live on different shards.
-  bool cross_shard() const noexcept {
-    return engine_ != nullptr && shards_[0] != shards_[1];
-  }
+  /// Throws std::invalid_argument outside [0, 1] (NaN included).
+  void set_loss_probability(double p) { loss_probability_ = checked_loss(p); }
 
   std::uint64_t frames_sent() const noexcept { return sent_; }
   std::uint64_t frames_delivered() const noexcept { return delivered_; }
   std::uint64_t frames_dropped() const noexcept { return dropped_; }
 
  private:
+  static sim::SimTime checked_delay(sim::SimTime delay);
+  static double checked_loss(double p);
+
   sim::SimTime delay_;
-  sim::ShardedEngine* engine_ = nullptr;
-  std::array<std::size_t, 2> shards_{0, 0};
   std::array<sim::Simulator*, 2> sims_;
   std::array<sim::Random*, 2> randoms_;
   double loss_probability_;

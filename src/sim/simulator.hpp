@@ -74,7 +74,7 @@ class Simulator {
   /// The clock is left at exactly \p t (events at exactly \p t run).
   void run_until(SimTime t);
 
-  /// Run events until the queue drains completely.
+  /// Run events until the queue is empty.
   void run_all();
 
   /// Number of events executed so far.

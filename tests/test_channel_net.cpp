@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "net/channel.hpp"
+#include "sim/sharded_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace qlink::net {
@@ -114,6 +117,38 @@ TEST(ClassicalChannel, LossProbabilityAdjustableAtRuntime) {
   chan.send_from(0, {0});
   s.run_all();
   EXPECT_EQ(received, 1);
+}
+
+TEST(ClassicalChannel, NegativeDelayThrows) {
+  sim::Simulator s;
+  sim::Random rnd(10);
+  EXPECT_THROW(ClassicalChannel(s, "c", -1, rnd), std::invalid_argument);
+  EXPECT_NO_THROW(ClassicalChannel(s, "c", 0, rnd));
+  sim::ShardedEngine::Config cfg;
+  cfg.num_shards = 2;
+  sim::ShardedEngine engine(cfg);
+  EXPECT_THROW(ClassicalChannel(engine.ref(0), rnd, engine.ref(1), rnd, "x",
+                                -1),
+               std::invalid_argument);
+}
+
+TEST(ClassicalChannel, LossOutsideUnitIntervalThrows) {
+  sim::Simulator s;
+  sim::Random rnd(11);
+  sim::ShardedEngine::Config cfg;
+  cfg.num_shards = 2;
+  sim::ShardedEngine engine(cfg);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double p : {-0.1, 1.5, nan}) {
+    SCOPED_TRACE(p);
+    EXPECT_THROW(ClassicalChannel(s, "c", 1, rnd, p), std::invalid_argument);
+    EXPECT_THROW(ClassicalChannel(engine.ref(0), rnd, engine.ref(1), rnd,
+                                  "x", 1, p),
+                 std::invalid_argument);
+    ClassicalChannel chan(s, "c", 1, rnd, 0.5);
+    EXPECT_THROW(chan.set_loss_probability(p), std::invalid_argument);
+    EXPECT_EQ(chan.loss_probability(), 0.5);  // a rejected set changes nothing
+  }
 }
 
 }  // namespace

@@ -161,6 +161,17 @@ TEST_F(FeuTest, SlidingWindowForgets) {
   EXPECT_NEAR(*lab_feu_.measured_qber(Basis::kZ), 0.0, 1e-12);
 }
 
+TEST_F(FeuTest, WindowSamplesCountEachBasisUpToTheWindow) {
+  lab_feu_.set_window(10);
+  EXPECT_EQ(lab_feu_.window_samples(Basis::kX), 0u);
+  for (int i = 0; i < 4; ++i) lab_feu_.record_test_round(Basis::kX, 0, 0, 1);
+  for (int i = 0; i < 15; ++i) lab_feu_.record_test_round(Basis::kZ, 0, 1, 1);
+  EXPECT_EQ(lab_feu_.window_samples(Basis::kX), 4u);
+  EXPECT_EQ(lab_feu_.window_samples(Basis::kY), 0u);
+  EXPECT_EQ(lab_feu_.window_samples(Basis::kZ), 10u);  // window-capped
+  EXPECT_EQ(lab_feu_.test_rounds_recorded(), 19u);     // all, uncapped
+}
+
 TEST_F(FeuTest, GoodnessPrefersTestData) {
   for (Basis b : {Basis::kX, Basis::kY, Basis::kZ}) {
     for (int i = 0; i < 50; ++i) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
+#include <functional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,40 +32,9 @@ TEST(ShardAssignment, BlocksAreContiguousAndBalanced) {
   EXPECT_THROW(ShardAssignment::blocks(4, 5), std::invalid_argument);
 }
 
-TEST(ShardAssignment, ValidateRejectsCrossShardQuantumEdge) {
-  const auto a = ShardAssignment::blocks(8, 2);
-  a.validate_intra_shard({{0, 1}, {4, 7}});
-  EXPECT_THROW(a.validate_intra_shard({{3, 4}}), std::invalid_argument);
-  const auto single = ShardAssignment::single(8);
-  single.validate_intra_shard({{0, 7}});
-}
-
 // ---------------------------------------------------------------------
-// ShardedEngine: wiring validation
+// ShardedEngine: handles and the single-shard pass-through
 // ---------------------------------------------------------------------
-
-TEST(ShardedEngine, ConnectAndPostValidate) {
-  ShardedEngine::Config cfg;
-  cfg.num_shards = 2;
-  ShardedEngine engine(cfg);
-  EXPECT_THROW(engine.connect(0, 0, 10), std::invalid_argument);
-  EXPECT_THROW(engine.connect(0, 2, 10), std::out_of_range);
-  EXPECT_THROW(engine.connect(0, 1, ShardedEngine::kMinLookahead - 1),
-               std::invalid_argument);
-  // Posting on an unconnected pair is a wiring bug.
-  EXPECT_THROW(engine.post(0, 1, 10, [] {}), std::logic_error);
-
-  engine.connect(0, 1, 10);
-  EXPECT_EQ(engine.lookahead(0, 1), 10);
-  EXPECT_EQ(engine.lookahead(1, 0), 0);  // directional
-  engine.connect(0, 1, 5);  // repeat keeps the tightest delay
-  EXPECT_EQ(engine.lookahead(0, 1), 5);
-
-  // A post under the lookahead floor would break conservatism.
-  EXPECT_THROW(engine.post(0, 1, 4, [] {}), std::invalid_argument);
-  engine.post(0, 1, 5, [] {});
-  EXPECT_EQ(engine.stats().posted, 1u);
-}
 
 TEST(ShardedEngine, RefBindsShardAndRejectsOutOfRange) {
   ShardedEngine::Config cfg;
@@ -78,10 +49,6 @@ TEST(ShardedEngine, RefBindsShardAndRejectsOutOfRange) {
   EXPECT_THROW(unbound.sim(), std::logic_error);
 }
 
-// ---------------------------------------------------------------------
-// ShardedEngine: single-shard pass-through
-// ---------------------------------------------------------------------
-
 TEST(ShardedEngine, SingleShardDelegatesToSimulator) {
   ShardedEngine engine;  // default: one shard
   EXPECT_EQ(engine.num_shards(), 1u);
@@ -94,24 +61,88 @@ TEST(ShardedEngine, SingleShardDelegatesToSimulator) {
   engine.run_for(10);
   EXPECT_EQ(fired, (std::vector<SimTime>{10, 30}));
   EXPECT_EQ(engine.events_processed(), 2u);
-  // Pass-through: no barrier rounds were needed.
-  EXPECT_EQ(engine.stats().rounds, 0u);
 }
 
 // ---------------------------------------------------------------------
-// ShardedEngine: cross-shard rounds
+// ShardedEngine: the merge rule
 // ---------------------------------------------------------------------
 
-/// Ping-pong workload over a 2-shard engine: each delivery posts the
-/// next one back, `hops` times, with lookahead-respecting delays.
+/// (time, shard, tag) of one executed event.
+using Executed = std::tuple<SimTime, std::size_t, int>;
+
+TEST(ShardedEngine, CrossShardSchedulesRunInGlobalTimeThenShardOrder) {
+  ShardedEngine::Config cfg;
+  cfg.num_shards = 3;
+  ShardedEngine engine(cfg);
+  std::vector<Executed> runs;
+  bool peers_behind = true;  // no clock ever ahead of the running event
+  const auto record = [&](std::size_t shard, int tag) {
+    const SimTime at = engine.sim(shard).now();
+    for (std::size_t i = 0; i < engine.num_shards(); ++i) {
+      peers_behind = peers_behind && engine.sim(i).now() <= at;
+    }
+    runs.emplace_back(at, shard, tag);
+  };
+  const auto on = [&](std::size_t shard, SimTime at, int tag) {
+    engine.sim(shard).schedule_at(at, [&record, shard, tag] {
+      record(shard, tag);
+    });
+  };
+  // Scheduled in reverse shard order; the merge still runs time 5 as
+  // shard 0, 1, 2.
+  on(2, 5, 20);
+  engine.sim(2).schedule_at(5, [&] {
+    record(2, 21);
+    // Zero delay: lands on shard 0 at the running event's own time and
+    // runs before shard 2's next time-5 event, since shard 0 < 2.
+    on(0, engine.sim(2).now(), 1);
+    // Nonzero delay to a lower shard that is idle until then.
+    on(1, engine.sim(2).now() + 3, 11);
+  });
+  on(2, 5, 22);
+  on(1, 5, 10);
+  on(0, 5, 0);
+  on(0, 8, 2);  // ties with the cross-shard event at 8: shard 0 first
+  on(2, 1, 23);
+  engine.run_until(100);
+
+  const std::vector<Executed> expected{
+      {1, 2, 23}, {5, 0, 0}, {5, 1, 10}, {5, 2, 20}, {5, 2, 21},
+      {5, 0, 1},  {5, 2, 22}, {8, 0, 2}, {8, 1, 11}};
+  EXPECT_EQ(runs, expected);
+  EXPECT_TRUE(peers_behind);
+  EXPECT_EQ(engine.events_processed(), expected.size());
+  for (std::size_t i = 0; i < engine.num_shards(); ++i) {
+    EXPECT_EQ(engine.sim(i).now(), 100);
+  }
+}
+
+TEST(ShardedEngine, QuietStretchRunsExactlyThePendingEventsAndSetsEveryClock) {
+  ShardedEngine::Config cfg;
+  cfg.num_shards = 3;
+  ShardedEngine engine(cfg);
+  std::vector<SimTime> fired;
+  engine.sim(1).schedule_at(1000000, [&] { fired.push_back(1000000); });
+  engine.sim(2).schedule_at(2000000, [&] { fired.push_back(2000000); });
+  engine.sim(0).schedule_at(2000001, [&] { fired.push_back(2000001); });
+  engine.run_until(2000000);  // events at t run; later ones wait
+  EXPECT_EQ(fired, (std::vector<SimTime>{1000000, 2000000}));
+  EXPECT_EQ(engine.events_processed(), 2u);
+  EXPECT_EQ(engine.now(), 2000000);
+  for (std::size_t i = 0; i < engine.num_shards(); ++i) {
+    EXPECT_EQ(engine.sim(i).now(), 2000000);
+  }
+  EXPECT_EQ(engine.sim(0).next_event_time(), 2000001);
+}
+
+/// Ping-pong over a 2-shard engine: each delivery schedules the next
+/// one on the peer shard, `hops` times, `delay` apart.
 std::vector<std::pair<std::size_t, SimTime>> ping_pong(
     ShardedEngine::Parallel parallel, int hops, SimTime delay) {
   ShardedEngine::Config cfg;
   cfg.num_shards = 2;
   cfg.parallel = parallel;
   ShardedEngine engine(cfg);
-  engine.connect(0, 1, delay);
-  engine.connect(1, 0, delay);
 
   std::vector<std::pair<std::size_t, SimTime>> trace;
   std::function<void(std::size_t, int)> hop = [&](std::size_t shard,
@@ -119,16 +150,16 @@ std::vector<std::pair<std::size_t, SimTime>> ping_pong(
     trace.emplace_back(shard, engine.sim(shard).now());
     if (remaining == 0) return;
     const std::size_t peer = 1 - shard;
-    engine.post(shard, peer, engine.sim(shard).now() + delay,
-                [&hop, peer, remaining] { hop(peer, remaining - 1); },
-                "test.hop");
+    engine.sim(peer).schedule_at(
+        engine.sim(shard).now() + delay,
+        [&hop, peer, remaining] { hop(peer, remaining - 1); }, "test.hop");
   };
   engine.sim(0).schedule_at(1, [&] { hop(0, hops); }, "test.start");
   engine.run_until(1 + delay * (hops + 1));
   return trace;
 }
 
-TEST(ShardedEngine, CrossShardPostsRespectDelayAndOrder) {
+TEST(ShardedEngine, CrossShardSchedulesRespectDelayAndOrder) {
   const auto trace = ping_pong(ShardedEngine::Parallel::kOff, 6, 10);
   ASSERT_EQ(trace.size(), 7u);
   for (int i = 0; i <= 6; ++i) {
@@ -138,24 +169,19 @@ TEST(ShardedEngine, CrossShardPostsRespectDelayAndOrder) {
 }
 
 TEST(ShardedEngine, ParallelModeDoesNotChangePingPongTrace) {
-  // Config::parallel is ignored: kAuto runs the shards in shard order
-  // on the calling thread, exactly as kOff does.
+  // Config::parallel is ignored: kAuto runs the same merge as kOff.
   const auto off = ping_pong(ShardedEngine::Parallel::kOff, 40, 7);
   const auto automatic = ping_pong(ShardedEngine::Parallel::kAuto, 40, 7);
   EXPECT_EQ(off, automatic);
 }
 
-/// Both shards busy every round, with cross-posts in both directions.
-/// Handlers write only their own shard's trace; the other shard sees a
-/// post only after the barrier drains it.
+/// Both shards busy, with cross-shard schedules in both directions,
+/// run to 1000 in one call or in 37-tick chunks.
 std::vector<std::vector<std::pair<SimTime, int>>> busy_shards(
-    ShardedEngine::Parallel parallel) {
+    SimTime chunk) {
   ShardedEngine::Config cfg;
   cfg.num_shards = 2;
-  cfg.parallel = parallel;
   ShardedEngine engine(cfg);
-  engine.connect(0, 1, 10);
-  engine.connect(1, 0, 10);
 
   std::vector<std::vector<std::pair<SimTime, int>>> trace(2);
   std::vector<std::function<void(int)>> tick(2);
@@ -165,12 +191,12 @@ std::vector<std::vector<std::pair<SimTime, int>>> busy_shards(
       trace[s].emplace_back(sim.now(), n);
       if (n % 3 == 0) {
         const std::size_t peer = 1 - s;
-        engine.post(s, peer, sim.now() + 10,
-                    [&trace, &engine, peer, n] {
-                      trace[peer].emplace_back(engine.sim(peer).now(),
-                                               1000 + n);
-                    },
-                    "test.cross");
+        engine.sim(peer).schedule_at(
+            sim.now() + 10,
+            [&trace, &engine, peer, n] {
+              trace[peer].emplace_back(engine.sim(peer).now(), 1000 + n);
+            },
+            "test.cross");
       }
       if (n < 100) {
         sim.schedule_at(sim.now() + 5, [&tick, s, n] { tick[s](n + 1); },
@@ -180,130 +206,18 @@ std::vector<std::vector<std::pair<SimTime, int>>> busy_shards(
     engine.sim(s).schedule_at(1 + static_cast<SimTime>(s),
                               [&tick, s] { tick[s](0); }, "test.tick");
   }
-  engine.run_until(1000);
+  while (engine.now() < 1000) {
+    engine.run_until(std::min<SimTime>(1000, engine.now() + chunk));
+  }
   return trace;
 }
 
-TEST(ShardedEngine, BusyShardsReplayTheSameTraceInEveryMode) {
-  const auto off = busy_shards(ShardedEngine::Parallel::kOff);
-  const auto automatic = busy_shards(ShardedEngine::Parallel::kAuto);
-  ASSERT_EQ(off.size(), automatic.size());
-  EXPECT_GT(off[0].size(), 100u);
-  EXPECT_EQ(off, automatic);
-}
-
-TEST(ShardedEngine, IdleJumpFastForwardsQuietStretches) {
-  ShardedEngine::Config cfg;
-  cfg.num_shards = 2;
-  cfg.parallel = ShardedEngine::Parallel::kOff;
-  ShardedEngine engine(cfg);
-  engine.connect(0, 1, 2);
-  engine.connect(1, 0, 2);
-  std::vector<SimTime> fired;
-  // One event far in the future: stepping lookahead-sized rounds to
-  // reach it would take ~500k rounds; the idle jump takes O(1).
-  engine.sim(1).schedule_at(1000000, [&] { fired.push_back(1000000); });
-  engine.run_until(2000000);
-  EXPECT_EQ(fired, std::vector<SimTime>{1000000});
-  EXPECT_EQ(engine.now(), 2000000);
-  const auto stats = engine.stats();
-  EXPECT_GT(stats.idle_jumps, 0u);
-  EXPECT_LT(stats.rounds, 100u);
-}
-
-/// One shard-0 event posts a 2,500-event burst in one round: every post
-/// is delivered, FIFO, and no round runs on threads.
-std::vector<int> burst(ShardedEngine::Parallel mode) {
-  constexpr int kBurst = 2500;
-  ShardedEngine::Config cfg;
-  cfg.num_shards = 2;
-  cfg.parallel = mode;
-  ShardedEngine engine(cfg);
-  engine.connect(0, 1, 2);
-  engine.connect(1, 0, 2);
-  std::vector<int> got;
-  engine.sim(0).schedule_at(1, [&] {
-    for (int i = 0; i < kBurst; ++i) {
-      engine.post(0, 1, 10 + i / 100, [&got, i] { got.push_back(i); });
-    }
-  });
-  // Keep shard 1 busy in the same round as shard 0's burst.
-  engine.sim(1).schedule_at(1, [] {});
-  engine.run_until(100);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.posted, static_cast<std::uint64_t>(kBurst));
-  EXPECT_EQ(stats.drained, stats.posted);
-  EXPECT_EQ(stats.ring_overflows, 0u);
-  EXPECT_EQ(stats.parallel_rounds, 0u);
-  return got;
-}
-
-TEST(ShardedEngine, BurstPostsKeepFifoInEveryMode) {
-  const auto off = burst(ShardedEngine::Parallel::kOff);
-  ASSERT_EQ(off.size(), 2500u);
-  for (int i = 0; i < 2500; ++i) EXPECT_EQ(off[i], i);
-  EXPECT_EQ(burst(ShardedEngine::Parallel::kAuto), off);
-}
-
-/// Shards 0 and 2 post to shard 1 for the same instant within one
-/// round; shard 2 posts first in simulated time. Returns the order in
-/// which shard 1 runs them.
-std::vector<int> same_instant_posts(ShardedEngine::Parallel mode) {
-  ShardedEngine::Config cfg;
-  cfg.num_shards = 3;
-  cfg.parallel = mode;
-  ShardedEngine engine(cfg);
-  for (std::size_t from = 0; from < 3; ++from) {
-    for (std::size_t to = 0; to < 3; ++to) {
-      if (from != to) engine.connect(from, to, 50);
-    }
-  }
-  std::vector<int> got;
-  const auto post_pair = [&](std::size_t from) {
-    for (int k = 0; k < 2; ++k) {
-      const int tag = static_cast<int>(from) * 10 + k;
-      engine.post(from, 1, 100, [&got, tag] { got.push_back(tag); });
-    }
-  };
-  engine.sim(2).schedule_at(1, [&] { post_pair(2); });
-  engine.sim(0).schedule_at(2, [&] { post_pair(0); });
-  engine.sim(1).schedule_at(2, [] {});
-  engine.run_until(200);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.posted, 4u);  // summed over both couplings
-  EXPECT_EQ(stats.drained, 4u);
-  return got;
-}
-
-TEST(ShardedEngine, DrainOrdersOutboxesBySourceShard) {
-  // Delivery follows (from, to) order, FIFO within an outbox — not the
-  // simulated order in which the shards posted.
-  const std::vector<int> expected{0, 1, 20, 21};
-  EXPECT_EQ(same_instant_posts(ShardedEngine::Parallel::kOff), expected);
-  EXPECT_EQ(same_instant_posts(ShardedEngine::Parallel::kAuto), expected);
-}
-
-// ---------------------------------------------------------------------
-// Merged telemetry
-// ---------------------------------------------------------------------
-
-TEST(ShardedEngine, TelemetryMergesAcrossShards) {
-  ShardedEngine::Config cfg;
-  cfg.num_shards = 2;
-  cfg.parallel = ShardedEngine::Parallel::kOff;
-  ShardedEngine engine(cfg);
-  engine.set_telemetry(true);
-  engine.sim(0).schedule_at(1, [] {}, "shared.label");
-  engine.sim(1).schedule_at(1, [] {}, "shared.label");
-  engine.sim(1).schedule_at(2, [] {}, "only.one");
-  engine.run_until(10);
-  EXPECT_EQ(engine.events_processed(), 3u);
-  const auto stats = engine.label_stats();
-  ASSERT_EQ(stats.size(), 2u);  // sorted by label
-  EXPECT_EQ(stats[0].label, "only.one");
-  EXPECT_EQ(stats[0].count, 1u);
-  EXPECT_EQ(stats[1].label, "shared.label");
-  EXPECT_EQ(stats[1].count, 2u);
+TEST(ShardedEngine, BusyShardsReplayTheSameTraceInAnyChunking) {
+  const auto whole = busy_shards(1000);
+  const auto chunked = busy_shards(37);
+  ASSERT_EQ(whole.size(), chunked.size());
+  EXPECT_GT(whole[0].size(), 100u);
+  EXPECT_EQ(whole, chunked);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -160,7 +162,8 @@ struct Island {
 
 /// Shard-merge bar: island trajectories must be independent of shard
 /// placement, so Collector::merge over a 2-shard run equals the same
-/// two islands run unsharded (each on its own private engine).
+/// two islands run unsharded (each on its own private engine), even
+/// with a live heartbeat channel between the shards.
 TEST(ShardedNet, ShardMergedCollectorMatchesUnsharded) {
   sim::ShardedEngine::Config cfg;
   cfg.num_shards = 2;
@@ -171,7 +174,34 @@ TEST(ShardedNet, ShardMergedCollectorMatchesUnsharded) {
     sharded_a.plane->submit(chain_request(2), kChainRoute);
     sharded_b.plane->submit(chain_request(1), kChainRoute);
   }
+  // A frame each way every 100 ms for the first 5 s, 50 ms in flight.
+  sim::Random random0(31), random1(32);
+  net::ClassicalChannel heartbeat(engine.ref(0), random0, engine.ref(1),
+                                  random1, "heartbeat",
+                                  sim::duration::milliseconds(50));
+  std::array<int, 2> heard{0, 0};
+  for (int end = 0; end < 2; ++end) {
+    heartbeat.set_receiver(end, [&heard, end](std::vector<std::uint8_t>) {
+      ++heard[static_cast<std::size_t>(end)];
+    });
+  }
+  std::array<std::function<void()>, 2> ticks;
+  for (int end = 0; end < 2; ++end) {
+    sim::Simulator& sim = engine.sim(static_cast<std::size_t>(end));
+    auto& tick = ticks[static_cast<std::size_t>(end)];
+    tick = [&heartbeat, &sim, &tick, end] {
+      heartbeat.send_from(end, {0xA1});
+      if (sim.now() < sim::duration::seconds(5)) {
+        sim.schedule_in(sim::duration::milliseconds(100), tick,
+                        "test.heartbeat");
+      }
+    };
+    sim.schedule_in(sim::duration::milliseconds(100), tick,
+                    "test.heartbeat");
+  }
   engine.run_until(sim::duration::seconds(1000));
+  EXPECT_EQ(heard[0], 50);
+  EXPECT_EQ(heard[1], 50);
 
   Island solo_a(11);
   Island solo_b(22);
@@ -215,10 +245,6 @@ TEST(ShardedNet, CrossShardChannelDeliversAtDelay) {
   const sim::SimTime delay = sim::duration::milliseconds(5);
   net::ClassicalChannel channel(engine.ref(0), random0, engine.ref(1),
                                 random1, "xshard", delay);
-  EXPECT_TRUE(channel.cross_shard());
-  // The constructor registered the coupling both ways.
-  EXPECT_EQ(engine.lookahead(0, 1), delay);
-  EXPECT_EQ(engine.lookahead(1, 0), delay);
 
   std::vector<std::pair<sim::SimTime, std::size_t>> received;
   channel.set_receiver(1, [&](std::vector<std::uint8_t> frame) {
@@ -234,12 +260,32 @@ TEST(ShardedNet, CrossShardChannelDeliversAtDelay) {
   EXPECT_EQ(channel.frames_sent(), 1u);
   EXPECT_EQ(channel.frames_delivered(), 1u);
 
-  // Same-shard construction stays a local schedule, no engine coupling.
-  sim::ShardedEngine local;
-  sim::Random r(3);
-  net::ClassicalChannel same(local.ref(0), r, local.ref(0), r, "local",
-                             delay);
-  EXPECT_FALSE(same.cross_shard());
+  // Endpoints on two different engines share no clock.
+  sim::ShardedEngine other;
+  EXPECT_THROW(net::ClassicalChannel(engine.ref(0), random0, other.ref(0),
+                                     random1, "split", delay),
+               std::invalid_argument);
+}
+
+TEST(ShardedNet, ZeroDelayCrossShardChannelDeliversAtTheSendTime) {
+  sim::ShardedEngine::Config cfg;
+  cfg.num_shards = 2;
+  sim::ShardedEngine engine(cfg);
+  sim::Random random0(1), random1(2);
+  net::ClassicalChannel channel(engine.ref(1), random1, engine.ref(0),
+                                random0, "instant", 0);
+  std::vector<sim::SimTime> received;
+  channel.set_receiver(1, [&](std::vector<std::uint8_t>) {
+    received.push_back(engine.sim(0).now());
+  });
+  // Sent from the higher shard into the lower one, at the same instant
+  // as a pending shard-0 event that therefore runs first.
+  bool earlier_ran = false;
+  engine.sim(0).schedule_at(7, [&] { earlier_ran = received.empty(); });
+  engine.sim(1).schedule_at(7, [&] { channel.send_from(0, {1}); });
+  engine.run_until(10);
+  EXPECT_TRUE(earlier_ran);
+  EXPECT_EQ(received, std::vector<sim::SimTime>{7});
 }
 
 /// Deterministic-per-seed multi-shard smoke: flow islands plus live

@@ -8,8 +8,8 @@ artifacts.
 
 Rows are matched by their identity keys (whichever of bench / hops /
 backend / scenario / case / topology / cost / mode / reroute_budget
-both sides carry; bench_paper tells a scenario's rows apart by "case"). Three classes of values are compared, everything else is
-informational:
+both sides carry; bench_paper tells a scenario's rows apart by "case").
+These classes of values are compared, everything else is informational:
 
   quality   keys containing "fidelity" or "completion" (except *_gain):
             deterministic per seed but float-sensitive across
@@ -26,6 +26,10 @@ informational:
             like quality keys, so *higher*-than-baseline beyond
             --quality-tol (absolute, in seconds) fails. Gated both in
             rows and among top-level summary scalars.
+  work      events: the row's executed-event count, a pure function of
+            the seed, so any rise over the baseline fails with no
+            tolerance. A drop passes with a note to re-record the
+            baseline with --update-baselines, so the gate tightens.
 
 Top-level summary scalars (e.g. hetero_fidelity_gain,
 adaptive_completion_gain) can be asserted directly:
@@ -70,6 +74,7 @@ COUNT_KEYS = ("completed", "delivered", "pairs_delivered", "issued",
               "swaps")
 PERF_HIGHER_IS_WORSE = ("wall_seconds",)
 PERF_LOWER_IS_WORSE = ("events_per_sec", "requests_per_sec")
+WORK_KEYS = ("events",)
 
 
 def is_quality_key(key):
@@ -114,7 +119,7 @@ class Gate:
             if not isinstance(bval, (int, float)) or isinstance(bval, bool):
                 continue
             gated = (is_quality_key(key) or is_latency_percentile_key(key)
-                     or key in COUNT_KEYS
+                     or key in COUNT_KEYS or key in WORK_KEYS
                      or key in PERF_HIGHER_IS_WORSE
                      or key in PERF_LOWER_IS_WORSE)
             cval = cur.get(key)
@@ -144,6 +149,14 @@ class Gate:
                     cval >= floor,
                     f"[{where}] {key}: {cval:.6g} vs baseline {bval:.6g} "
                     f"(count tolerance {self.args.count_tol:.0%})")
+            elif key in WORK_KEYS:
+                self.check(
+                    cval <= bval,
+                    f"[{where}] {key}: {cval:.6g} vs baseline {bval:.6g} "
+                    f"(work is exact per seed: no rise allowed)")
+                if cval < bval:
+                    print(f"note  [{where}] {key}: {cval:.6g} below baseline "
+                          f"{bval:.6g}; re-record with --update-baselines")
             elif key in PERF_HIGHER_IS_WORSE:
                 self.check(
                     cval <= bval * self.args.perf_tol,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self-test for tools/bench_diff.py (ISSUE 5), runnable standalone
-(`python3 tools/test_bench_diff.py`) or under pytest. Covers the three
-tolerance classes, gated-key disappearance, --require failure paths,
+(`python3 tools/test_bench_diff.py`) or under pytest. Covers the
+tolerance and work classes, gated-key disappearance, --require failure paths,
 and the maintenance modes (--update-baselines, history append/print).
 """
 
@@ -39,7 +39,7 @@ BASE = {
         "scenario": "grid", "mode": "a",
         "mean_fidelity": 0.80, "completed": 100, "delivered": 400,
         "wall_seconds": 2.0, "events_per_sec": 1e6, "note_metric": 7.0,
-        "requests_per_sec": 5e4,
+        "requests_per_sec": 5e4, "events": 500000,
         "p99_request_latency_s": 0.30,
         "obs": {"engine": {"events_processed": 12345}},
     }],
@@ -112,6 +112,31 @@ class BenchDiffTest(unittest.TestCase):
     def test_informational_key_change_is_noted_not_gated(self):
         code, _ = self.compare(self.current(note_metric=0.0))
         self.assertEqual(code, 0)
+
+    # --- work class -------------------------------------------------
+
+    def test_work_rise_by_one_event_fails(self):
+        code, out = self.compare(self.current(events=500001))
+        self.assertEqual(code, 1)
+        self.assertIn("events", out)
+        self.assertIn("no rise allowed", out)
+
+    def test_work_drop_passes_with_rerecord_note(self):
+        code, out = self.compare(self.current(events=250000))
+        self.assertEqual(code, 0)
+        self.assertIn("re-record with --update-baselines", out)
+
+    def test_equal_work_passes_without_note(self):
+        code, out = self.compare(self.current())
+        self.assertEqual(code, 0)
+        self.assertNotIn("re-record", out)
+
+    def test_missing_work_key_fails(self):
+        doc = self.current()
+        del doc["rows"][0]["events"]
+        code, out = self.compare(doc)
+        self.assertEqual(code, 1)
+        self.assertIn("events: gated metric missing", out)
 
     # --- latency percentile class (ISSUE 6) --------------------------
 
