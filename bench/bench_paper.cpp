@@ -478,11 +478,23 @@ void fig7(Harness& h, Row& summary) {
 
 /// Fig 8's Monte-Carlo through the actual MHP/station stack at a fixed
 /// alpha: successes per attempt, and the fidelity reconstructed from
-/// QBER samples the way the hardware comparison does.
+/// QBER samples the way the hardware comparison does, each with its
+/// sample count and standard error.
 struct MonteCarlo {
+  std::uint64_t attempts = 0;
+  std::uint64_t successes = 0;
   double p_succ = 0.0;
+  double p_succ_se = 0.0;  // sqrt(p (1 - p) / attempts)
+  metrics::Collector collector;  // the per-basis correlation samples
   double fidelity_from_qber = 0.0;
+  /// F = 1 - (q_X + q_Y + q_Z) / 2, so s.e. = sqrt(sum q(1-q)/n) / 2.
+  double fidelity_se = 0.0;
 };
+
+constexpr std::pair<const char*, quantum::gates::Basis> kBases[] = {
+    {"correlations_x", quantum::gates::Basis::kX},
+    {"correlations_y", quantum::gates::Basis::kY},
+    {"correlations_z", quantum::gates::Basis::kZ}};
 
 MonteCarlo monte_carlo(double alpha, double seconds) {
   sim::Simulator simulator;
@@ -501,7 +513,8 @@ MonteCarlo monte_carlo(double alpha, double seconds) {
   proto::MidpointStation station(simulator, "h", model, random, chan_a, 1,
                                  chan_b, 1, sc.mhp_cycle);
 
-  metrics::Collector collector;
+  MonteCarlo mc;
+  metrics::Collector& collector = mc.collector;
   // Both nodes must measure in the same (pre-agreed) basis: derive it
   // from the shared cycle number, as the EGP's random strings would.
   auto poll = [&simulator, &sc, alpha] {
@@ -536,13 +549,11 @@ MonteCarlo monte_carlo(double alpha, double seconds) {
                                    static_cast<int>(joint & 1)};
       });
 
-  std::uint64_t attempts = 0;
-  std::uint64_t successes = 0;
   mhp_a.set_result_handler([&](const proto::MhpResult& r) {
     if (r.reply.error != net::MhpError::kNone) return;
-    ++attempts;
+    ++mc.attempts;
     if (r.reply.outcome != 0) {
-      ++successes;
+      ++mc.successes;
       if (r.reply.m_outcome != 0xFF) {
         collector.record_correlation(
             static_cast<quantum::gates::Basis>(r.reply.m_basis),
@@ -556,11 +567,20 @@ MonteCarlo monte_carlo(double alpha, double seconds) {
   mhp_b.start();
   simulator.run_until(sim::duration::seconds(seconds));
 
-  MonteCarlo mc;
-  mc.p_succ = attempts == 0 ? 0.0
-                            : static_cast<double>(successes) /
-                                  static_cast<double>(attempts);
+  if (mc.attempts > 0) {
+    const double n = static_cast<double>(mc.attempts);
+    mc.p_succ = static_cast<double>(mc.successes) / n;
+    mc.p_succ_se = std::sqrt(mc.p_succ * (1.0 - mc.p_succ) / n);
+  }
   mc.fidelity_from_qber = collector.fidelity_from_qber().value_or(0.0);
+  double variance = 0.0;
+  for (const auto& [key, basis] : kBases) {
+    if (const auto q = collector.qber(basis)) {
+      variance += *q * (1.0 - *q) /
+                  static_cast<double>(collector.correlation_samples(basis));
+    }
+  }
+  mc.fidelity_se = 0.5 * std::sqrt(variance);
   return mc;
 }
 
@@ -573,9 +593,11 @@ void fig8(Harness& h, Row&) {
   h.columns({{"case", "alpha", -7},
              {"fidelity_model", "F(model)", 12},
              {"fidelity_mc", "F(mc)", 12},
+             {"fidelity_se", "(se)", 7},
              {"fidelity_theory", "F(theory)", 12},
              {"p_succ_model", "psucc(model)", 14},
              {"p_succ_mc", "psucc(mc)", 14},
+             {"p_succ_se", "(se)", 10},
              {"p_succ_theory", "psucc(theory)", 14}});
   const hw::HeraldModel model(hw::ScenarioParams::lab().herald);
   // Calibrate the guide curve at alpha = 0.1 like the paper's plot.
@@ -586,14 +608,21 @@ void fig8(Harness& h, Row&) {
     const auto d = model.compute(alpha, alpha);
     // Short MC for large alpha (plenty of successes), longer for small.
     const MonteCarlo mc = monte_carlo(alpha, alpha < 0.1 ? 25.0 : 8.0);
-    h.add(entry("fig8", format("%.2f", alpha))
-              .num("fidelity_model",
-                   (d.fidelity_plus + d.fidelity_minus) / 2.0, 4)
-              .num("fidelity_mc", mc.fidelity_from_qber, 4)
-              .num("fidelity_theory", f0 * (1.0 - alpha), 4)
-              .sci("p_succ_model", d.p_success(), 3)
-              .sci("p_succ_mc", mc.p_succ, 3)
-              .sci("p_succ_theory", 2.0 * alpha * p_det, 3));
+    Row row = entry("fig8", format("%.2f", alpha));
+    row.num("fidelity_model", (d.fidelity_plus + d.fidelity_minus) / 2.0, 4)
+        .num("fidelity_mc", mc.fidelity_from_qber, 4)
+        .num("fidelity_se", mc.fidelity_se, 4)
+        .num("fidelity_theory", f0 * (1.0 - alpha), 4)
+        .sci("p_succ_model", d.p_success(), 3)
+        .sci("p_succ_mc", mc.p_succ, 3)
+        .sci("p_succ_se", mc.p_succ_se, 3)
+        .sci("p_succ_theory", 2.0 * alpha * p_det, 3)
+        .count("attempts", mc.attempts)
+        .count("successes", mc.successes);
+    for (const auto& [key, basis] : kBases) {
+      row.count(key, mc.collector.correlation_samples(basis));
+    }
+    h.add(std::move(row));
   }
   std::printf(
       "Expected shape: F falls ~linearly with alpha; p_succ rises "

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -48,7 +49,11 @@
 ///    receives the traced session's Chrome trace at PATH plus its JSONL
 ///    at PATH.jsonl. Observing never perturbs a run, so these files
 ///    replay byte-for-byte per seed.
-///  - A file that cannot be written is a warning, not a failure.
+///  - Each added session's violations() (the rules its Monitor,
+///    NetState and Tracer check while writing) print to stderr, as
+///    does a "run" label that an earlier session already gave the
+///    same stream file; write() then writes every file and exits 3.
+///  - A file that cannot be written exits 1, naming it.
 
 namespace qlink::bench {
 
@@ -328,6 +333,13 @@ class Harness {
     stalled_intervals_ += session.stalled_intervals();
     peak_backlog_ = std::max(peak_backlog_, session.peak_backlog());
     max_utilization_ = std::max(max_utilization_, session.max_utilization());
+    for (const std::string& v : session.violations()) violation(v);
+    // Records group by their "run" label, so a label names one run per
+    // stream file.
+    if (session.monitored()) {
+      claim_run(monitor_runs_, "monitor", session.monitor_run());
+    }
+    claim_run(netstate_runs_, "netstate", session.netstate_run());
   }
 
   const std::vector<Row>& rows() const noexcept { return rows_; }
@@ -359,18 +371,27 @@ class Harness {
     write_file(args.report_path,
                report_title_.empty() ? report_
                                      : "# " + report_title_ + "\n\n" + report_);
+    if (violations_ > 0) {
+      std::fprintf(stderr, "%zu observed-stream violations\n", violations_);
+      std::exit(3);
+    }
   }
 
-  /// Write `text` to `path`; empty or "-" writes nothing.
+  /// Write `text` to `path`; empty or "-" writes nothing. Exits 1,
+  /// naming the path, when the file cannot be written in full.
   static void write_file(const std::string& path, const std::string& text) {
     if (path.empty() || path == "-") return;
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-      return;
+    bool ok = f != nullptr;
+    if (ok) {
+      ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+      ok = std::fclose(f) == 0 && ok;
     }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+    if (!ok) {
+      std::fprintf(stderr, "error: cannot write %s: %s\n", path.c_str(),
+                   std::strerror(errno));
+      std::exit(1);
+    }
     std::printf("wrote %s\n", path.c_str());
   }
 
@@ -390,6 +411,23 @@ class Harness {
   std::uint64_t stalled_intervals_ = 0;
   std::uint64_t peak_backlog_ = 0;
   double max_utilization_ = 0.0;
+  std::vector<std::string> monitor_runs_;
+  std::vector<std::string> netstate_runs_;
+  std::size_t violations_ = 0;
+
+  void violation(const std::string& what) {
+    std::fprintf(stderr, "VIOLATION %s\n", what.c_str());
+    ++violations_;
+  }
+
+  void claim_run(std::vector<std::string>& runs, const char* stream,
+                 const std::string& run) {
+    if (std::find(runs.begin(), runs.end(), run) != runs.end()) {
+      violation(std::string(stream) + " run \"" + run +
+                "\" repeats an earlier session's label");
+    }
+    runs.push_back(run);
+  }
 };
 
 inline void print_header(const std::string& title) {

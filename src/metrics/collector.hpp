@@ -153,6 +153,10 @@ class Collector {
   std::uint64_t total_pairs_delivered() const;
 
   std::optional<double> qber(quantum::gates::Basis basis) const;
+  /// Correlation samples recorded in `basis` (qber's denominator).
+  std::uint64_t correlation_samples(quantum::gates::Basis basis) const {
+    return qber_counts_[static_cast<std::size_t>(basis)].second;
+  }
   /// Fidelity reconstructed from QBER (how the paper extracts MD
   /// fidelity, Section 6.2).
   std::optional<double> fidelity_from_qber() const;

@@ -12,6 +12,7 @@ namespace qlink::obs {
 
 using json::append_field;
 using json::append_num;
+using json::append_run;
 
 namespace {
 
@@ -51,6 +52,12 @@ Monitor::Monitor(const sim::Simulator& simulator,
   start_t_ = sim_.now();
   last_t_ = start_t_;
   prev_ = sample();
+  base_deliveries_ = prev_.deliveries;
+  base_events_ = prev_.events;
+}
+
+void Monitor::fail(const std::string& what) {
+  violations_.push_back("monitor run \"" + config_.run + "\": " + what);
 }
 
 Monitor::Cumulative Monitor::sample() const {
@@ -100,13 +107,25 @@ void Monitor::finish() {
   const sim::SimTime now = sim_.now();
   if (now > last_t_) emit(now);
 
+  // The records tile (start, now], and their deltas sum to what the
+  // Collector and the engine counted over that span.
+  if (last_t_ != now) {
+    fail("records end at " + std::to_string(last_t_) + ", the run at " +
+         std::to_string(now));
+  }
+  if (total_deliveries_ != prev_.deliveries - base_deliveries_) {
+    fail("deliveries sum " + std::to_string(total_deliveries_) +
+         " != Collector's " +
+         std::to_string(prev_.deliveries - base_deliveries_));
+  }
+  if (total_events_ != prev_.events - base_events_) {
+    fail("events sum " + std::to_string(total_events_) +
+         " != engine's " + std::to_string(prev_.events - base_events_));
+  }
+
   std::string& out = jsonl_;
   out += '{';
-  if (!config_.run.empty()) {
-    out += "\"run\":\"";
-    out += config_.run;
-    out += "\",";
-  }
+  append_run(out, config_.run);
   out += "\"final\":true,";
   append_field(out, "t", static_cast<std::uint64_t>(last_t_));
   out += ',';
@@ -153,14 +172,18 @@ void Monitor::emit(sim::SimTime t) {
     stall_run_ = 0;
   }
   const bool stalled = starved && stall_run_ >= config_.stall_consecutive;
+  const auto fail_record = [this](const std::string& what) {
+    fail("record " + std::to_string(intervals_) + " " + what);
+  };
+  if (dt <= 0 || t - dt != last_t_) {
+    fail_record("does not tile: t " + std::to_string(t) + ", dt " +
+                std::to_string(dt) + ", previous t " +
+                std::to_string(last_t_));
+  }
 
   std::string& out = jsonl_;
   out += '{';
-  if (!config_.run.empty()) {
-    out += "\"run\":\"";
-    out += config_.run;
-    out += "\",";
-  }
+  append_run(out, config_.run);
   append_field(out, "i", intervals_);
   out += ',';
   append_field(out, "t", static_cast<std::uint64_t>(t));
@@ -210,20 +233,29 @@ void Monitor::emit(sim::SimTime t) {
   out += stalled ? "true" : "false";
   if (config_.target_requests > 0) {
     const std::uint64_t done = completed_total();
+    const double progress = static_cast<double>(done) /
+                            static_cast<double>(config_.target_requests);
+    if (progress < progress_) {
+      fail_record("progress " + json::str(progress) + " fell from " +
+                  json::str(progress_));
+    }
+    progress_ = progress;
     out += ',';
-    append_field(out, "progress",
-                 static_cast<double>(done) /
-                     static_cast<double>(config_.target_requests));
+    append_field(out, "progress", progress);
     out += ",\"eta_s\":";
     const double elapsed_s = sim::to_seconds(t - start_t_);
     if (done == 0 || elapsed_s <= 0.0) {
       out += "null";
-    } else if (done >= config_.target_requests) {
-      append_num(out, 0.0);
     } else {
       const double rate = static_cast<double>(done) / elapsed_s;
-      append_num(out,
-                 static_cast<double>(config_.target_requests - done) / rate);
+      const double eta_s =
+          done >= config_.target_requests
+              ? 0.0
+              : static_cast<double>(config_.target_requests - done) / rate;
+      if (!(eta_s >= 0.0)) {
+        fail_record("eta_s " + json::str(eta_s) + " is negative");
+      }
+      append_num(out, eta_s);
     }
   }
   out += "}\n";

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "metrics/collector.hpp"
 #include "metrics/histogram.hpp"
@@ -33,8 +34,18 @@
 /// that crosses the boundary and stamped at the boundary time `t`.
 /// finish() flushes the trailing partial interval (its `dt` may be
 /// shorter) and appends a `"final": true` summary line whose totals
-/// equal the per-record delta sums — the invariant
-/// tools/stream_check.py enforces.
+/// equal the per-record delta sums.
+///
+/// The Monitor checks its own stream as it writes it; violations()
+/// lists each broken rule. Per record: the record tiles sim time (dt >
+/// 0, t - dt is the previous record's t), progress never falls and
+/// eta_s is null or non-negative. At finish(): the records end at the
+/// run's sim time, and the delivery and event deltas sum to what the
+/// Collector and Simulator::events_processed() counted since the
+/// Monitor's baseline. The final record's stalled_intervals and
+/// peak_backlog are updated by the statements that write each
+/// record's flag and backlog, so they agree with the records by
+/// construction.
 ///
 /// Stall watchdog: a record whose span covers at least one full
 /// interval, delivered zero pairs, and sampled a positive admission
@@ -64,8 +75,8 @@ struct MonitorConfig {
   /// Record cadence in sim time (> 0).
   sim::SimTime interval = sim::duration::milliseconds(100);
   /// Label stamped into every record as "run" (empty = omitted); lets
-  /// several monitored runs share one JSONL file (stream_check.py
-  /// validates each label group independently).
+  /// several monitored runs share one JSONL file, one label each
+  /// (bench::Harness refuses a repeated label).
   std::string run;
   /// Expected request completions; > 0 enables the progress / eta_s
   /// fields (completions from the Router when attached, else from the
@@ -115,6 +126,12 @@ class Monitor {
   }
 
   const std::string& jsonl() const noexcept { return jsonl_; }
+  const std::string& run() const noexcept { return config_.run; }
+  /// One message per broken stream rule (see the file comment); empty
+  /// for a well-formed stream.
+  const std::vector<std::string>& violations() const noexcept {
+    return violations_;
+  }
 
  private:
   struct Cumulative {
@@ -133,6 +150,7 @@ class Monitor {
   std::size_t backlog() const;
   /// One record covering (last_t_, t]; `t` must be > last_t_.
   void emit(sim::SimTime t);
+  void fail(const std::string& what);
 
   const sim::Simulator& sim_;
   const metrics::Collector& collector_;
@@ -148,8 +166,13 @@ class Monitor {
   std::uint64_t peak_backlog_ = 0;
   std::uint64_t total_deliveries_ = 0;
   std::uint64_t total_events_ = 0;
+  /// The Collector's and the engine's counts at the baseline.
+  std::uint64_t base_deliveries_ = 0;
+  std::uint64_t base_events_ = 0;
+  double progress_ = 0.0;  // the last record's
   bool finished_ = false;
   std::string jsonl_;
+  std::vector<std::string> violations_;
 };
 
 }  // namespace qlink::obs

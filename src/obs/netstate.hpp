@@ -19,9 +19,9 @@
 /// arrivals, lease placements), link-layer CREATE attempt and per-hop
 /// delivery deltas, and the interval's hottest edges. The final record
 /// carries the full per-edge table, per-node swap/terminal activity,
-/// the deterministic Space-Saving hot-edge ranking, and totals that
-/// tools/stream_check.py reconciles against the per-record delta
-/// sums and the metrics::Collector's request-level counters.
+/// the deterministic Space-Saving hot-edge ranking, and the run-wide
+/// totals, plus the metrics::Collector's request-level counters when
+/// one is attached.
 ///
 /// Same observation contract as Monitor / Tracer: keyed by *sim* time
 /// only, never schedules events, never consumes randomness. It is
@@ -34,6 +34,23 @@
 /// sparse polls into a single record whose `dt` is the covered span;
 /// finish() flushes the trailing partial interval and appends a
 /// `"final": true` summary line.
+///
+/// The NetState checks its own stream as it writes it; violations()
+/// lists each broken rule. Per record: the record tiles sim time (dt >
+/// 0, t - dt is the previous record's t); util_mean and util_max lie in
+/// [0, 1] with util_mean <= util_max; hot-list utilizations lie in [0,
+/// 1], descending. At finish(): the records end at the run's sim time;
+/// every final-table utilization lies in [0, 1]; the per-record lease,
+/// blocked, attempt and delivery sums equal the per-edge table's, and
+/// the lease and attempt sums EdgeStats' lease_count() and
+/// attempt_pairs(); per-node swaps sum to swaps(); per-hop deliveries
+/// and admission waits are at least the end-to-end ones; the sketch
+/// claims exactness only without evictions and ranks counts
+/// descending, each error at most its count; and with a Collector
+/// attached, EdgeStats' delivered pairs, blocked requests and
+/// admission waits equal the Collector's (wait seconds within 1e-6
+/// relative). Utilizations allow 1e-9 of round-off. The sums assume
+/// the NetState was built before the EdgeStats' first hook.
 ///
 /// Cost: a record visits only the edges EdgeStats reports touched since
 /// the last record plus the edges whose lease windows were still open
@@ -59,8 +76,8 @@ struct NetStateConfig {
   /// Record cadence in sim time (> 0).
   sim::SimTime interval = sim::duration::milliseconds(100);
   /// Label stamped into every record as "run" (empty = omitted); lets
-  /// several runs share one JSONL file (stream_check.py validates
-  /// each label group independently).
+  /// several runs share one JSONL file, one label each
+  /// (bench::Harness refuses a repeated label).
   std::string run;
 };
 
@@ -78,8 +95,8 @@ class NetState {
   NetState(const NetState&) = delete;
   NetState& operator=(const NetState&) = delete;
 
-  /// Adds request-level counters to the final record so the validator
-  /// can reconcile the per-edge totals against the Collector's.
+  /// Adds request-level counters to the final record, and finish()
+  /// reconciles the per-edge totals against them.
   void attach_collector(const metrics::Collector* collector) {
     collector_ = collector;
   }
@@ -102,6 +119,11 @@ class NetState {
   double max_utilization() const noexcept { return max_utilization_; }
 
   const std::string& jsonl() const noexcept { return jsonl_; }
+  /// One message per broken stream rule (see the file comment); empty
+  /// for a well-formed stream.
+  const std::vector<std::string>& violations() const noexcept {
+    return violations_;
+  }
 
  private:
   struct EdgeSnap {
@@ -115,6 +137,7 @@ class NetState {
   EdgeSnap sample(std::size_t edge, sim::SimTime t) const;
   /// One record covering (last_t_, t]; `t` must be > last_t_.
   void emit(sim::SimTime t);
+  void fail(const std::string& what);
 
   const sim::Simulator& sim_;
   const metrics::EdgeStats& stats_;
@@ -135,10 +158,14 @@ class NetState {
   /// Per-edge busy seconds at start_t_ (non-zero when the sampler
   /// attached mid-run): full-run utilization is measured from here.
   std::vector<double> start_busy_s_;
+  /// The records' lease, blocked, attempt and delivery deltas summed
+  /// (busy_s unused).
+  EdgeSnap streamed_;
   std::uint64_t intervals_ = 0;
   double max_utilization_ = 0.0;
   bool finished_ = false;
   std::string jsonl_;
+  std::vector<std::string> violations_;
 };
 
 }  // namespace qlink::obs

@@ -48,8 +48,17 @@ void Session::poll() {
 }
 
 void Session::finish() {
-  if (monitor_ != nullptr) monitor_->finish();
+  violations_.clear();
+  const auto collect = [this](const std::vector<std::string>& found) {
+    violations_.insert(violations_.end(), found.begin(), found.end());
+  };
+  if (monitor_ != nullptr) {
+    monitor_->finish();
+    collect(monitor_->violations());
+  }
   netstate_->finish();
+  collect(netstate_->violations());
+  if (tracer_ != nullptr) collect(tracer_->violations());
 }
 
 std::uint64_t Session::stalled_intervals() const noexcept {
@@ -67,6 +76,11 @@ double Session::max_utilization() const noexcept {
 const std::string& Session::monitor_jsonl() const noexcept {
   static const std::string kNone;
   return monitor_ != nullptr ? monitor_->jsonl() : kNone;
+}
+
+const std::string& Session::monitor_run() const noexcept {
+  static const std::string kNone;
+  return monitor_ != nullptr ? monitor_->run() : kNone;
 }
 
 const std::string& Session::netstate_jsonl() const noexcept {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "metrics/edge_stats.hpp"
 #include "obs/monitor.hpp"
@@ -60,8 +61,21 @@ class Session {
 
   /// Poll every observer; call from existing control points only.
   void poll();
-  /// Flush every observer's trailing interval and final record.
+  /// Flush every observer's trailing interval and final record, and
+  /// collect their violations().
   void finish();
+
+  /// The broken stream rules finish() collected from the Monitor, the
+  /// NetState and the Tracer; empty for a well-formed run.
+  const std::vector<std::string>& violations() const noexcept {
+    return violations_;
+  }
+  /// The "run" labels the two streams' records carry (the Monitor's
+  /// is empty without one).
+  const std::string& monitor_run() const noexcept;
+  const std::string& netstate_run() const noexcept {
+    return netstate_config_.run;
+  }
 
   bool monitored() const noexcept { return monitor_ != nullptr; }
   /// 0 without a Monitor.
@@ -90,6 +104,7 @@ class Session {
   std::unique_ptr<metrics::EdgeStats> edge_stats_;
   std::unique_ptr<NetState> netstate_;
   std::unique_ptr<Monitor> monitor_;
+  std::vector<std::string> violations_;
 };
 
 }  // namespace qlink::obs

@@ -1,41 +1,19 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <map>
+#include <string_view>
+#include <utility>
+
+#include "obs/json.hpp"
 
 namespace qlink::obs {
 
 namespace {
 
-/// JSON-escape into `out` (quotes included).
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
+using json::append_quoted;
 
 /// Nanoseconds as decimal microseconds ("123.456"), exactly — the
 /// Chrome format's ts/dur unit is microseconds, and an integer
@@ -67,15 +45,15 @@ Tracer::Arg Tracer::str_arg(std::string key, const std::string& value) {
 }
 
 Tracer::Arg Tracer::num_arg(std::string key, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return Arg{std::move(key), buf};
+  std::string rendered;
+  json::append_num(rendered, value);
+  return Arg{std::move(key), std::move(rendered)};
 }
 
 Tracer::Arg Tracer::num_arg(std::string key, std::uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  return Arg{std::move(key), buf};
+  std::string rendered;
+  json::append_num(rendered, value);
+  return Arg{std::move(key), std::move(rendered)};
 }
 
 void Tracer::complete(TraceId trace, const char* cat, const char* name,
@@ -186,6 +164,97 @@ std::string Tracer::chrome_json() const {
     append_event(out, e, /*chrome=*/true);
   }
   out += "\n]}\n";
+  return out;
+}
+
+std::vector<std::string> Tracer::violations() const {
+  std::vector<std::string> out;
+  const auto fail = [&](std::size_t i, const std::string& what) {
+    out.push_back("trace event " + std::to_string(i) + " (" +
+                  events_[i].name + "): " + what);
+  };
+
+  // Per event: what a trace viewer needs to place it.
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const Event& e = events_[i];
+    if (*e.name == '\0') fail(i, "empty name");
+    if (*e.cat == '\0') fail(i, "empty cat");
+    if (e.ts < 0) fail(i, "negative ts " + std::to_string(e.ts));
+    if (e.dur < 0) fail(i, "negative dur " + std::to_string(e.dur));
+  }
+
+  // Async balance: each begin has exactly one end with its (cat, id),
+  // in order and not earlier in time; instants name a begun id.
+  constexpr std::size_t kEnded = static_cast<std::size_t>(-1);
+  using Key = std::pair<std::string_view, std::uint64_t>;
+  std::map<Key, std::size_t> begun;  // -> its open begin, or kEnded
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const Event& e = events_[i];
+    const Key key{e.cat, e.async_id};
+    const auto async_fail = [&](const std::string& what) {
+      fail(i, "async id (" + std::string(e.cat) + ", " +
+                  std::to_string(e.async_id) + ") " + what);
+    };
+    if (e.phase == Phase::kAsyncBegin) {
+      const auto [it, fresh] = begun.try_emplace(key, i);
+      if (!fresh && it->second != kEnded) async_fail("begun twice");
+      it->second = i;
+    } else if (e.phase == Phase::kAsyncInstant) {
+      if (begun.count(key) == 0) async_fail("never begun");
+    } else if (e.phase == Phase::kAsyncEnd) {
+      const auto it = begun.find(key);
+      if (it == begun.end() || it->second == kEnded) {
+        async_fail("ended without an open begin");
+        continue;
+      }
+      const sim::SimTime begin_ts = events_[it->second].ts;
+      if (e.ts < begin_ts) {
+        async_fail("ends at " + std::to_string(e.ts) + " before its begin at " +
+                   std::to_string(begin_ts));
+      }
+      it->second = kEnded;
+    }
+  }
+  for (const auto& [key, i] : begun) {
+    if (i != kEnded) fail(i, "async begin never ended");
+  }
+
+  // Span nesting per lane: sorted by start, longest first, each "X"
+  // span lies inside the innermost open span or after it.
+  std::vector<std::size_t> spans;
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    if (events_[i].phase == Phase::kComplete) spans.push_back(i);
+  }
+  std::sort(spans.begin(), spans.end(), [this](std::size_t a, std::size_t b) {
+    const Event& x = events_[a];
+    const Event& y = events_[b];
+    if (x.trace != y.trace) return x.trace < y.trace;
+    if (x.ts != y.ts) return x.ts < y.ts;
+    if (x.dur != y.dur) return x.dur > y.dur;
+    return a < b;
+  });
+  std::vector<std::size_t> open;  // the enclosing spans, outermost first
+  for (std::size_t k = 0; k < spans.size(); ++k) {
+    const Event& e = events_[spans[k]];
+    if (k > 0 && events_[spans[k - 1]].trace != e.trace) open.clear();
+    while (!open.empty() &&
+           e.ts >= events_[open.back()].ts + events_[open.back()].dur) {
+      open.pop_back();
+    }
+    if (!open.empty()) {
+      const Event& outer = events_[open.back()];
+      if (e.ts + e.dur > outer.ts + outer.dur) {
+        fail(spans[k], "span [" + std::to_string(e.ts) + ", " +
+                           std::to_string(e.ts + e.dur) +
+                           "] partially overlaps \"" + outer.name + "\" [" +
+                           std::to_string(outer.ts) + ", " +
+                           std::to_string(outer.ts + outer.dur) +
+                           "] on lane " + std::to_string(e.trace));
+        continue;
+      }
+    }
+    open.push_back(spans[k]);
+  }
   return out;
 }
 

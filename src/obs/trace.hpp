@@ -31,6 +31,11 @@
 ///   - instants ("i"): submit / reroute / abandon / deliver /
 ///     EGP-error marks. Unattributable events land on tid 0.
 ///
+/// violations() checks that the recorded stream keeps this model:
+/// balanced async spans, instants on begun ids, nested lane spans.
+/// obs::Session::finish collects its findings, so every traced bench
+/// run checks its own trace.
+///
 /// Two export surfaces over the same recorded stream: Chrome trace
 /// JSON (`{"traceEvents": [...]}`, ts/dur in microseconds with
 /// nanosecond decimals) and a compact JSONL stream (one event per line,
@@ -85,6 +90,14 @@ class Tracer {
   std::string chrome_json() const;
   /// Compact JSONL: one event per line, integer-nanosecond times.
   std::string jsonl() const;
+
+  /// The recorded stream's broken rules, one message each; empty when
+  /// every event has a name, a category and a non-negative ts (and an
+  /// "X" span a non-negative dur), every async begin has exactly one
+  /// end with its (cat, id), never earlier in order or time, every
+  /// async instant names a begun (cat, id), and the "X" spans of each
+  /// lane nest. Scans the recorded events.
+  std::vector<std::string> violations() const;
 
  private:
   enum class Phase : std::uint8_t {

@@ -146,6 +146,23 @@ TEST(Collector, QberAndFidelityReconstruction) {
   EXPECT_NEAR(*c.fidelity_from_qber(), 0.95, 1e-12);
 }
 
+TEST(Collector, CorrelationSamplesCountEachBasis) {
+  Collector c;
+  EXPECT_EQ(c.correlation_samples(Basis::kX), 0u);
+  for (int i = 0; i < 3; ++i) c.record_correlation(Basis::kX, 1, 1, 1);
+  c.record_correlation(Basis::kX, 0, 1, 1);  // an error counts too
+  c.record_correlation(Basis::kZ, 0, 1, 2);
+  EXPECT_EQ(c.correlation_samples(Basis::kX), 4u);
+  EXPECT_EQ(c.correlation_samples(Basis::kY), 0u);
+  EXPECT_EQ(c.correlation_samples(Basis::kZ), 1u);
+  // Merging sums the per-basis counts.
+  Collector other;
+  other.record_correlation(Basis::kY, 0, 0, 1);
+  c.merge(other);
+  EXPECT_EQ(c.correlation_samples(Basis::kY), 1u);
+  EXPECT_EQ(c.correlation_samples(Basis::kX), 4u);
+}
+
 TEST(Collector, QberUsesHeraldedState) {
   Collector c;
   // For Psi- in Z, different outcomes are ideal.

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "metrics/collector.hpp"
 #include "netlayer/swap_service.hpp"
@@ -112,7 +113,10 @@ struct MonitoredWorld {
       net->run_for(sim::duration::milliseconds(1));
       if (monitor != nullptr) monitor->poll();
     }
-    if (monitor != nullptr) monitor->finish();
+    if (monitor != nullptr) {
+      monitor->finish();
+      EXPECT_EQ(monitor->violations(), std::vector<std::string>{});
+    }
     EXPECT_EQ(stats.completed, 1u);
     char tail[64];
     std::snprintf(tail, sizeof(tail), "end %lld %llu\n",
@@ -225,6 +229,7 @@ struct StarvedWorld {
       monitor.poll();
     }
     monitor.finish();
+    EXPECT_EQ(monitor.violations(), std::vector<std::string>{});
   }
 };
 
@@ -320,6 +325,69 @@ TEST(StallWatchdog, CoalescedSpanCountsItsCoveredIntervals) {
   EXPECT_EQ(monitor.stalled_intervals(), 1u);
   const std::string jsonl = monitor.jsonl();
   EXPECT_NE(jsonl.find("\"dt\":500000000"), std::string::npos);
+  EXPECT_EQ(monitor.violations(), std::vector<std::string>{});
+}
+
+// ---------------------------------------------------------------------------
+// Record schema and the run label.
+
+/// The lines of a JSONL stream.
+std::vector<std::string> lines_of(const std::string& jsonl) {
+  std::vector<std::string> lines;
+  for (std::size_t at = 0, end; at < jsonl.size(); at = end + 1) {
+    end = jsonl.find('\n', at);
+    lines.push_back(jsonl.substr(at, end - at));
+  }
+  return lines;
+}
+
+/// Whether `record` holds `"key":` followed by a number.
+bool has_number(const std::string& record, const char* key) {
+  const std::string field = std::string("\"") + key + "\":";
+  const std::size_t at = record.find(field);
+  if (at == std::string::npos) return false;
+  const char c = record[at + field.size()];
+  return c == '-' || (c >= '0' && c <= '9');
+}
+
+TEST(MonitorSchema, EveryRecordCarriesItsKindsKeys) {
+  MonitoredWorld w(qstate::BackendKind::kBellDiagonal, 11,
+                   /*monitored=*/true);
+  w.run_request();
+  const std::vector<std::string> lines = lines_of(w.monitor->jsonl());
+  ASSERT_EQ(lines.size(), w.monitor->intervals() + 1);
+  for (std::size_t k = 0; k + 1 < lines.size(); ++k) {
+    for (const char* key : {"i", "t", "dt", "deliveries", "events"}) {
+      EXPECT_TRUE(has_number(lines[k], key)) << key << " in " << lines[k];
+    }
+    EXPECT_TRUE(lines[k].find("\"stalled\":true") != std::string::npos ||
+                lines[k].find("\"stalled\":false") != std::string::npos)
+        << lines[k];
+  }
+  const std::string& final_record = lines.back();
+  EXPECT_EQ(final_record.rfind("{\"run\":\"test\",\"final\":true,", 0),
+            0u);
+  for (const char* key : {"t", "intervals", "stalled_intervals",
+                          "peak_backlog", "deliveries", "events"}) {
+    EXPECT_TRUE(has_number(final_record, key)) << key;
+  }
+}
+
+TEST(MonitorSchema, RunLabelIsEscaped) {
+  sim::Simulator sim;
+  metrics::Collector collector;
+  MonitorConfig mc;
+  mc.run = "a\"b\\c";
+  Monitor monitor(sim, collector, mc);
+  sim.run_until(sim::duration::milliseconds(150));
+  monitor.poll();
+  monitor.finish();
+  const std::vector<std::string> lines = lines_of(monitor.jsonl());
+  ASSERT_EQ(lines.size(), 3u);  // two intervals and the final record
+  for (const std::string& line : lines) {
+    EXPECT_EQ(line.rfind("{\"run\":\"a\\\"b\\\\c\",", 0), 0u) << line;
+  }
+  EXPECT_EQ(monitor.violations(), std::vector<std::string>{});
 }
 
 }  // namespace

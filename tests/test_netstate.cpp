@@ -607,6 +607,31 @@ TEST(NetState, TouchedEdgeRecordsEqualAFullScan) {
   EXPECT_EQ(w.checked(), 9u);
 }
 
+TEST(NetState, ReportsCountsItsRecordsAndTheCollectorMissed) {
+  using sim::duration::milliseconds;
+  sim::Simulator sim;
+  EdgeStats stats(2, 2);
+  // A lease placed before the sampler exists is in the totals and the
+  // per-edge table but in no record.
+  stats.on_lease(0, 1, 0, milliseconds(500));
+  NetState netstate(sim, stats);
+  metrics::Collector collector;
+  netstate.attach_collector(&collector);
+  // A blocked request the Collector never saw.
+  stats.on_blocked_request();
+  sim.run_until(milliseconds(250));
+  netstate.poll();
+  netstate.finish();
+  EXPECT_EQ(netstate.violations(),
+            (std::vector<std::string>{
+                "netstate run \"\": per-record leases sum 0 != "
+                "totals.leases 1",
+                "netstate run \"\": per-record leases sum 0 != per-edge "
+                "sum 1",
+                "netstate run \"\": totals.blocked_requests 1 != "
+                "collector.requests_blocked 0"}));
+}
+
 // ---------------------------------------------------------------------------
 // Sampled end-to-end run: the same 2x3 dead-edge world as
 // test_monitor.cpp's MonitoredWorld, with EdgeStats hooks and an
@@ -686,8 +711,14 @@ struct SampledWorld {
       if (netstate != nullptr) netstate->poll();
       if (session != nullptr) session->poll();
     }
-    if (netstate != nullptr) netstate->finish();
-    if (session != nullptr) session->finish();
+    if (netstate != nullptr) {
+      netstate->finish();
+      EXPECT_EQ(netstate->violations(), std::vector<std::string>{});
+    }
+    if (session != nullptr) {
+      session->finish();
+      EXPECT_EQ(session->violations(), std::vector<std::string>{});
+    }
     EXPECT_EQ(stats.completed, 1u);
     char tail[64];
     std::snprintf(tail, sizeof(tail), "end %lld %llu\n",
@@ -763,7 +794,7 @@ TEST(NetStateRun, TotalsReconcileWithTheCollector) {
                  /*sampled=*/true);
   w.run_request();
   // Request-level counters agree between the per-edge substrate and
-  // the Collector (stream_check.py netstate verifies the same from JSONL).
+  // the Collector (NetState::finish checks the same).
   EXPECT_EQ(w.edge_stats->deliveries(),
             w.collector.total_pairs_delivered());
   EXPECT_EQ(w.edge_stats->blocked_requests(),
@@ -817,6 +848,117 @@ TEST(NetStateRun, RunReportRendersTheRun) {
   // Deterministic rendering: same state, same bytes.
   EXPECT_EQ(md, render_run_report(w.net->simulator(), *w.edge_stats,
                                   w.collector, &w.grid, "test run"));
+}
+
+/// Each `{...}` object of the JSON array after `"key":[` in `record`.
+std::vector<std::string> entries(const std::string& record,
+                                 const char* key) {
+  const std::size_t at = record.find(std::string("\"") + key + "\":[");
+  if (at == std::string::npos) return {};
+  const std::size_t open = record.find('[', at);
+  const std::string list =
+      record.substr(open + 1, record.find(']', open) - open - 1);
+  std::vector<std::string> out;
+  for (std::size_t from = 0, end; from < list.size(); from = end + 1) {
+    end = list.find("},{", from);
+    if (end == std::string::npos) end = list.size();
+    out.push_back(list.substr(from, end - from + 1));
+  }
+  return out;
+}
+
+/// The `{...}` object after `"key":` in `record` (it holds no object).
+std::string object(const std::string& record, const char* key) {
+  const std::size_t at = record.find(std::string("\"") + key + "\":{");
+  if (at == std::string::npos) return "";
+  return record.substr(at, record.find('}', at) - at + 1);
+}
+
+/// Whether `record` holds `"key":` followed by a number.
+bool has_number(const std::string& record, const char* key) {
+  const std::string field = std::string("\"") + key + "\":";
+  const std::size_t at = record.find(field);
+  if (at == std::string::npos) return false;
+  const char c = record[at + field.size()];
+  return c == '-' || (c >= '0' && c <= '9');
+}
+
+TEST(NetStateSchema, EveryRecordCarriesItsKindsKeys) {
+  SampledWorld w(qstate::BackendKind::kBellDiagonal, 11,
+                 /*sampled=*/true);
+  w.run_request();
+  const std::string& jsonl = w.netstate->jsonl();
+  std::vector<std::string> lines;
+  for (std::size_t at = 0, end; at < jsonl.size(); at = end + 1) {
+    end = jsonl.find('\n', at);
+    lines.push_back(jsonl.substr(at, end - at));
+  }
+  ASSERT_EQ(lines.size(), w.netstate->intervals() + 1);
+  std::size_t hot_entries = 0;
+  for (std::size_t k = 0; k + 1 < lines.size(); ++k) {
+    for (const char* key : {"i", "t", "dt", "leases", "blocked", "attempts",
+                            "deliveries", "util_mean", "util_max"}) {
+      EXPECT_TRUE(has_number(lines[k], key)) << key << " in " << lines[k];
+    }
+    EXPECT_NE(lines[k].find("\"hot\":["), std::string::npos);
+    for (const std::string& hot : entries(lines[k], "hot")) {
+      ++hot_entries;
+      for (const char* key : {"edge", "util", "leases", "blocked",
+                              "attempts", "deliveries"}) {
+        EXPECT_TRUE(has_number(hot, key)) << key << " in " << hot;
+      }
+    }
+  }
+  EXPECT_GT(hot_entries, 0u);
+
+  const std::string& final_record = lines.back();
+  EXPECT_EQ(final_record.rfind("{\"run\":\"test\",\"final\":true,", 0),
+            0u);
+  for (const char* key : {"t", "intervals", "max_utilization"}) {
+    EXPECT_TRUE(has_number(final_record, key)) << key;
+  }
+  const std::vector<std::string> edges = entries(final_record, "edges");
+  EXPECT_EQ(edges.size(), w.grid.num_edges());
+  for (const std::string& edge : edges) {
+    for (const char* key : {"edge", "util", "busy_s", "leases", "blocked",
+                            "attempts", "deliveries", "admission_waits",
+                            "admission_wait_s", "fidelity_mean"}) {
+      EXPECT_TRUE(has_number(edge, key)) << key << " in " << edge;
+    }
+  }
+  EXPECT_FALSE(entries(final_record, "nodes").empty());
+  EXPECT_FALSE(entries(final_record, "hot_edges").empty());
+  const std::string sketch = object(final_record, "sketch");
+  for (const char* key : {"capacity", "total_weight", "evictions"}) {
+    EXPECT_TRUE(has_number(sketch, key)) << key;
+  }
+  EXPECT_NE(sketch.find("\"exact\":true"), std::string::npos);
+  const std::string totals = object(final_record, "totals");
+  for (const char* key : {"leases", "attempt_pairs", "swaps",
+                          "blocked_requests", "deliveries", "admission_waits",
+                          "admission_wait_s"}) {
+    EXPECT_TRUE(has_number(totals, key)) << key;
+  }
+  const std::string collector = object(final_record, "collector");
+  for (const char* key : {"pairs_delivered", "requests_blocked",
+                          "admission_waits", "admission_wait_s"}) {
+    EXPECT_TRUE(has_number(collector, key)) << key;
+  }
+}
+
+TEST(NetStateSchema, RunLabelIsEscaped) {
+  sim::Simulator sim;
+  const EdgeStats stats(1, 2);
+  NetStateConfig nsc;
+  nsc.run = "a\"b\\c";
+  NetState netstate(sim, stats, nsc);
+  sim.run_until(sim::duration::milliseconds(150));
+  netstate.poll();
+  netstate.finish();
+  const std::string& jsonl = netstate.jsonl();
+  EXPECT_EQ(count_of(jsonl, "\n"), 3u);  // two intervals and the final
+  EXPECT_EQ(count_of(jsonl, "{\"run\":\"a\\\"b\\\\c\","), 3u);
+  EXPECT_EQ(netstate.violations(), std::vector<std::string>{});
 }
 
 TEST(NetStateRun, SessionMatchesTheHandWiredObservers) {

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "metrics/histogram.hpp"
 #include "netlayer/swap_service.hpp"
@@ -156,6 +157,138 @@ TEST(Tracer, JsonlIsOneEventPerLineIntegerNanoseconds) {
 TEST(Tracer, StrArgEscapesJson) {
   const auto arg = Tracer::str_arg("k", "a\"b\\c\nd");
   EXPECT_EQ(arg.value, "\"a\\\"b\\\\c\\nd\"");
+}
+
+TEST(Tracer, EveryEventCarriesItsPhaseKeys) {
+  Tracer t;
+  const TraceId id = t.new_trace();
+  t.complete(id, "request", "request", 1000, 5000);
+  t.instant(id, "router", "submit", 1000);
+  const std::uint64_t a = t.async_begin(id, "hop", "hop", 2000);
+  t.async_instant(a, id, "hop", "pair_matched", 3000);
+  t.async_end(a, id, "hop", "hop", 4000);
+  const std::string json = t.chrome_json();
+  // One event per line between the header and the closing bracket.
+  std::vector<std::string> events;
+  for (std::size_t at = json.find('\n') + 1, end; at < json.size();
+       at = end + 1) {
+    end = json.find('\n', at);
+    std::string line = json.substr(at, end - at);
+    if (line.back() == ',') line.pop_back();
+    if (line != "]}") events.push_back(line);
+  }
+  ASSERT_EQ(events.size(), 6u);
+  const auto has = [](const std::string& ev, const char* key) {
+    return ev.find(std::string("\"") + key + "\":") != std::string::npos;
+  };
+  EXPECT_TRUE(has(events[0], "name"));
+  EXPECT_NE(events[0].find("\"ph\":\"M\""), std::string::npos);
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    for (const char* key : {"name", "cat", "ph", "ts", "pid", "tid"}) {
+      EXPECT_TRUE(has(events[i], key)) << key << " in " << events[i];
+    }
+  }
+  EXPECT_TRUE(has(events[1], "dur"));  // "X"
+  EXPECT_TRUE(has(events[2], "s"));    // "i"
+  for (std::size_t i = 3; i < 6; ++i) {
+    EXPECT_TRUE(has(events[i], "id")) << events[i];  // "b", "n", "e"
+  }
+  EXPECT_EQ(t.violations(), std::vector<std::string>{});
+}
+
+/// The one violation `t` reports, or a note saying how many there are.
+std::string only_violation(const Tracer& t) {
+  const std::vector<std::string> found = t.violations();
+  if (found.size() != 1) {
+    return std::to_string(found.size()) + " violations";
+  }
+  return found.front();
+}
+
+TEST(TracerRules, EventsNeedANameACategoryAndNonNegativeTimes) {
+  Tracer negative_ts;
+  negative_ts.instant(0, "router", "submit", -1);
+  EXPECT_EQ(only_violation(negative_ts),
+            "trace event 0 (submit): negative ts -1");
+  Tracer negative_dur;
+  negative_dur.complete(1, "request", "request", 500, 200);
+  EXPECT_EQ(only_violation(negative_dur),
+            "trace event 0 (request): negative dur -300");
+  Tracer unnamed;
+  unnamed.instant(0, "", "submit", 0);
+  unnamed.instant(0, "router", "", 0);
+  EXPECT_EQ(unnamed.violations(),
+            (std::vector<std::string>{"trace event 0 (submit): empty cat",
+                                      "trace event 1 (): empty name"}));
+}
+
+TEST(TracerRules, AsyncEndNeedsAnOpenBeginWithItsCategory) {
+  Tracer never_begun;
+  never_begun.async_end(7, 1, "hop", "hop", 100);
+  EXPECT_EQ(only_violation(never_begun),
+            "trace event 0 (hop): async id (hop, 7) ended without an open "
+            "begin");
+
+  Tracer twice;
+  const std::uint64_t a = twice.async_begin(1, "hop", "hop", 100);
+  twice.async_end(a, 1, "hop", "hop", 200);
+  twice.async_end(a, 1, "hop", "hop", 300);
+  EXPECT_EQ(only_violation(twice),
+            "trace event 2 (hop): async id (hop, 1) ended without an open "
+            "begin");
+
+  // An end under another category leaves the begin open.
+  Tracer wrong_cat;
+  const std::uint64_t b = wrong_cat.async_begin(1, "hop", "hop", 100);
+  wrong_cat.async_end(b, 1, "link", "hop", 200);
+  EXPECT_EQ(wrong_cat.violations(),
+            (std::vector<std::string>{
+                "trace event 1 (hop): async id (link, 1) ended without an "
+                "open begin",
+                "trace event 0 (hop): async begin never ended"}));
+}
+
+TEST(TracerRules, AsyncEndMayNotPrecedeItsBegin) {
+  Tracer t;
+  const std::uint64_t a = t.async_begin(1, "hop", "hop", 500);
+  t.async_end(a, 1, "hop", "hop", 400);
+  EXPECT_EQ(only_violation(t),
+            "trace event 1 (hop): async id (hop, 1) ends at 400 before its "
+            "begin at 500");
+}
+
+TEST(TracerRules, AsyncBeginMustEnd) {
+  Tracer t;
+  t.async_begin(1, "hop", "hop", 100);
+  EXPECT_EQ(only_violation(t),
+            "trace event 0 (hop): async begin never ended");
+}
+
+TEST(TracerRules, AsyncInstantNeedsABegunId) {
+  Tracer t;
+  t.async_instant(9, 1, "hop", "pair_matched", 100);
+  EXPECT_EQ(only_violation(t),
+            "trace event 0 (pair_matched): async id (hop, 9) never begun");
+  // After its end an id still counts as begun.
+  Tracer ended;
+  const std::uint64_t a = ended.async_begin(1, "hop", "hop", 100);
+  ended.async_end(a, 1, "hop", "hop", 200);
+  ended.async_instant(a, 1, "hop", "pair_matched", 300);
+  EXPECT_EQ(ended.violations(), std::vector<std::string>{});
+}
+
+TEST(TracerRules, SpansOnOneLaneNest) {
+  Tracer t;
+  t.complete(1, "request", "request", 0, 100);
+  t.complete(1, "request", "admission_wait", 0, 40);  // inside
+  t.complete(1, "request", "deferral_window", 40, 100);  // inside, after
+  t.complete(2, "request", "request", 50, 150);  // another lane
+  t.complete(1, "request", "late", 100, 120);    // after the envelope
+  EXPECT_EQ(t.violations(), std::vector<std::string>{});
+  t.complete(1, "request", "straddle", 90, 110);
+  EXPECT_EQ(only_violation(t),
+            "trace event 5 (straddle): span [90, 110] partially overlaps "
+            "\"deferral_window\" [40, 100] on lane 1");
 }
 
 TEST(Tracer, UntracedEventsLandOnGlobalLane) {
@@ -369,6 +502,7 @@ struct TracedWorld {
       net->run_for(sim::duration::milliseconds(1));
     }
     EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(tracer.violations(), std::vector<std::string>{});
     char tail[64];
     std::snprintf(tail, sizeof(tail), "end %lld %llu\n",
                   static_cast<long long>(net->simulator().now()),
