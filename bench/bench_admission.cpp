@@ -168,7 +168,7 @@ Row run_mode(Harness& h, const Options& opt, const char* scenario,
   };
 
   const std::string run = std::string(scenario) + "/" + mode;
-  obs::Session session(collector, {.run = run});
+  obs::Session session(collector, {.run = run}, h.traced());
   session.attach(router);
 
   net->start();

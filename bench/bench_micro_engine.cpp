@@ -1,7 +1,7 @@
 // Micro-benchmarks of the substrate hot paths: event scheduling (bare,
-// labeled, telemetered), the periodic timer, density-matrix operations,
-// the herald model, a full protocol cycle, and the routing layer's
-// k-shortest path search. These bound the simulation throughput
+// labeled, telemetered, with a cancelled timeout), the periodic timer,
+// density-matrix operations, the herald model, a full protocol cycle,
+// and the routing layer's k-shortest path search. These bound the simulation throughput
 // reported in EXPERIMENTS.md.
 //
 // Self-timed (no external benchmark library): each case runs batches of
@@ -83,6 +83,24 @@ Row bench_schedule_and_run(const Options& opt, const char* scenario,
       s.step();
     }
   });
+}
+
+/// The station's mhp.timeout pattern: each round schedules an event
+/// and a later timeout, cancels the timeout and runs the event, so
+/// half of what is scheduled never runs. "ops" are rounds.
+Row bench_schedule_cancel(const Options& opt) {
+  sim::Simulator s;
+  std::uint64_t sink = 0;
+  return time_case("event_schedule_cancel", opt.min_seconds, 100000,
+                   [&](std::uint64_t n) {
+                     for (std::uint64_t i = 0; i < n; ++i) {
+                       const sim::EventId timeout = s.schedule_in(
+                           20, [&sink] { ++sink; }, "bench.timeout");
+                       s.schedule_in(10, [&sink] { ++sink; }, "bench.event");
+                       s.cancel(timeout);
+                       s.step();
+                     }
+                   });
 }
 
 Row bench_periodic_timer(const Options& opt) {
@@ -242,6 +260,7 @@ int main(int argc, char** argv) {
   h.add(bench_schedule_and_run(opt, "event_schedule_and_run", false, false));
   h.add(bench_schedule_and_run(opt, "event_schedule_labeled", true, false));
   h.add(bench_schedule_and_run(opt, "event_schedule_telemetry", true, true));
+  h.add(bench_schedule_cancel(opt));
   h.add(bench_periodic_timer(opt));
   h.add(bench_single_qubit_kraus(opt));
   h.add(bench_two_qubit_fidelity(opt));

@@ -508,8 +508,9 @@ MonteCarlo monte_carlo(double alpha, double seconds) {
                                random);
   net::ClassicalChannel chan_b(simulator, "b-h", sc.delay_b_to_station,
                                random);
-  proto::NodeMhp mhp_a(simulator, "mhp-a", 0, dev_a, chan_a, 0, sc.mhp_cycle);
-  proto::NodeMhp mhp_b(simulator, "mhp-b", 1, dev_b, chan_b, 0, sc.mhp_cycle);
+  proto::CycleClock clock(simulator, sc.mhp_cycle);
+  proto::NodeMhp mhp_a(clock, "mhp-a", 0, dev_a, chan_a, 0);
+  proto::NodeMhp mhp_b(clock, "mhp-b", 1, dev_b, chan_b, 0);
   proto::MidpointStation station(simulator, "h", model, random, chan_a, 1,
                                  chan_b, 1, sc.mhp_cycle);
 

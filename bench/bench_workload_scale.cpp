@@ -287,8 +287,9 @@ void run_scale(Harness& h, const Options& opt) {
 
   // A NetState record visits only the touched and open-lease edges, not
   // all 16k; one record per simulated second keeps the stream short.
-  obs::Session session(collector, {.interval = sim::duration::seconds(1),
-                                   .run = "scale"});
+  obs::Session session(collector,
+                       {.interval = sim::duration::seconds(1), .run = "scale"},
+                       h.traced());
   session.attach(router);
   // Random traffic: quiet 100 ms intervals happen.
   session.watch({.run = "scale",

@@ -113,6 +113,7 @@ void DistributedQueue::on_timeout(std::uint32_t cseq) {
 void DistributedQueue::insert_item(const DqpPacket& packet, bool confirmed) {
   auto& q = queues_.at(packet.aid.qid);
   q[packet.aid.qseq] = Item{packet, confirmed};
+  if (on_insert_) on_insert_();
 }
 
 void DistributedQueue::handle_frame(const DqpPacket& packet) {

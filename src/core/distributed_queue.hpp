@@ -61,6 +61,10 @@ class DistributedQueue : public sim::Entity {
   void set_local_result_handler(LocalResultFn fn) { on_local_ = std::move(fn); }
   void set_remote_add_handler(RemoteAddFn fn) { on_remote_ = std::move(fn); }
   void set_policy(PolicyFn fn) { policy_ = std::move(fn); }
+  /// Called whenever an item enters a queue (the EGP wakes its MHP).
+  void set_insert_handler(std::function<void()> fn) {
+    on_insert_ = std::move(fn);
+  }
 
   /// Submit a local CREATE for distribution. The packet's qid must be
   /// set; qseq is assigned by the master. Completion is reported through
@@ -126,6 +130,7 @@ class DistributedQueue : public sim::Entity {
   LocalResultFn on_local_;
   RemoteAddFn on_remote_;
   PolicyFn policy_;
+  std::function<void()> on_insert_;
 
   std::uint64_t retransmissions_ = 0;
 };

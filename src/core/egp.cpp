@@ -61,6 +61,7 @@ Egp::Egp(sim::Simulator& simulator, std::string name, const EgpConfig& config,
       });
   queue_.set_remote_add_handler(
       [this](const DqpPacket& pkt) { on_remote_add(pkt); });
+  queue_.set_insert_handler([this] { mhp_.wake(); });
 
   mhp_.set_poll_handler([this] { return poll(); });
   mhp_.set_result_handler(
@@ -261,6 +262,13 @@ proto::PollResponse Egp::poll() {
   const std::uint64_t cycle = mhp_.current_cycle();
 
   check_request_timeouts(cycle);
+  // Nothing queued and no K attempt in flight: every poll answers "no"
+  // with no side effect until the queue takes an item, which wakes the
+  // MHP (see the DQP insert handler in the constructor).
+  if (queue_.total_size() == 0 && !outstanding_k_aid_) {
+    no.idle = true;
+    return no;
+  }
   if (suspend_until_cycle_ > cycle) return no;
 
   // While a K-type attempt is in flight the communication qubit may hold

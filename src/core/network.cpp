@@ -1,6 +1,7 @@
 #include "core/network.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "quantum/bell.hpp"
 #include "quantum/channels.hpp"
@@ -20,15 +21,26 @@ Link::Link(const LinkConfig& config)
   owned_registry_ =
       std::make_unique<quantum::QuantumRegistry>(*random_, config.backend);
   registry_ = owned_registry_.get();
+  owned_clock_ = std::make_unique<proto::CycleClock>(
+      *simulator_, config.scenario.mhp_cycle);
+  clock_ = owned_clock_.get();
   wire();
 }
 
 Link::Link(sim::Simulator& simulator, sim::Random& random,
-           quantum::QuantumRegistry& registry, const LinkConfig& config)
+           quantum::QuantumRegistry& registry, proto::CycleClock& clock,
+           const LinkConfig& config)
     : config_(config),
       simulator_(&simulator),
       random_(&random),
-      registry_(&registry) {
+      registry_(&registry),
+      clock_(&clock) {
+  if (&clock.simulator() != &simulator ||
+      clock.period() != config.scenario.mhp_cycle) {
+    throw std::invalid_argument(
+        "Link: the cycle clock must run on the link's simulator at its "
+        "mhp_cycle");
+  }
   wire();
 }
 
@@ -55,12 +67,12 @@ void Link::wire() {
 
   // Endpoint convention: nodes sit at endpoint 0 of their station link
   // and the station at endpoint 1; on the peer link A is 0 and B is 1.
-  mhp_a_ = std::make_unique<proto::NodeMhp>(*simulator_, "mhp-a" + tag,
+  mhp_a_ = std::make_unique<proto::NodeMhp>(*clock_, "mhp-a" + tag,
                                             config_.node_id_a, *device_a_,
-                                            *chan_a_h_, 0, sc.mhp_cycle);
-  mhp_b_ = std::make_unique<proto::NodeMhp>(*simulator_, "mhp-b" + tag,
+                                            *chan_a_h_, 0);
+  mhp_b_ = std::make_unique<proto::NodeMhp>(*clock_, "mhp-b" + tag,
                                             config_.node_id_b, *device_b_,
-                                            *chan_b_h_, 0, sc.mhp_cycle);
+                                            *chan_b_h_, 0);
 
   station_ = std::make_unique<proto::MidpointStation>(
       *simulator_, "station-h" + tag, *model_, *random_, *chan_a_h_, 1,

@@ -59,20 +59,23 @@ struct LinkConfig {
 /// A fully wired two-node quantum link.
 ///
 /// A link either owns its simulation world (simulator, random source,
-/// qubit registry) — the historical standalone mode — or borrows an
-/// externally owned one, which is how netlayer::QuantumNetwork puts
-/// many links on a single clock so their pairs can be swapped into
-/// end-to-end entanglement.
+/// qubit registry, MHP cycle clock) — the historical standalone mode —
+/// or borrows an externally owned one, which is how
+/// netlayer::QuantumNetwork puts many links on a single clock so their
+/// pairs can be swapped into end-to-end entanglement.
 class Link {
  public:
   /// Standalone: the link owns simulator, random source, and registry.
   explicit Link(const LinkConfig& config);
 
-  /// Shared-world: all three are owned by the caller (who must keep
+  /// Shared-world: all four are owned by the caller (who must keep
   /// them alive for the lifetime of the link). Entanglement between
-  /// qubits of different links requires a shared registry.
+  /// qubits of different links requires a shared registry. The clock
+  /// must run on \p simulator at the scenario's mhp_cycle, else
+  /// std::invalid_argument.
   Link(sim::Simulator& simulator, sim::Random& random,
-       quantum::QuantumRegistry& registry, const LinkConfig& config);
+       quantum::QuantumRegistry& registry, proto::CycleClock& clock,
+       const LinkConfig& config);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -102,7 +105,7 @@ class Link {
   net::ClassicalChannel& station_channel_a() { return *chan_a_h_; }
   net::ClassicalChannel& station_channel_b() { return *chan_b_h_; }
 
-  /// Start both MHP cycle clocks.
+  /// Start both MHPs on the link's cycle clock.
   void start();
 
   /// Run the simulation for a given span of simulated time.
@@ -147,9 +150,11 @@ class Link {
   std::unique_ptr<sim::Simulator> owned_simulator_;
   std::unique_ptr<sim::Random> owned_random_;
   std::unique_ptr<quantum::QuantumRegistry> owned_registry_;
+  std::unique_ptr<proto::CycleClock> owned_clock_;
   sim::Simulator* simulator_ = nullptr;
   sim::Random* random_ = nullptr;
   quantum::QuantumRegistry* registry_ = nullptr;
+  proto::CycleClock* clock_ = nullptr;
   std::unique_ptr<hw::HeraldModel> model_;
   std::unique_ptr<hw::NvDevice> device_a_;
   std::unique_ptr<hw::NvDevice> device_b_;

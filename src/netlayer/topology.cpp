@@ -1,6 +1,7 @@
 #include "netlayer/topology.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <queue>
 #include <stdexcept>
@@ -78,8 +79,16 @@ QuantumNetwork::QuantumNetwork(const NetworkConfig& config)
     lc.node_id_a = edges[i].first;
     lc.node_id_b = edges[i].second;
     lc.backend = config_.link.backend;
+    auto clock = std::find_if(clocks_.begin(), clocks_.end(), [&](auto& c) {
+      return c->period() == lc.scenario.mhp_cycle;
+    });
+    if (clock == clocks_.end()) {
+      clocks_.push_back(std::make_unique<proto::CycleClock>(
+          simulator, lc.scenario.mhp_cycle));
+      clock = std::prev(clocks_.end());
+    }
     links_.push_back(std::make_unique<core::Link>(simulator, random_,
-                                                  registry_, lc));
+                                                  registry_, **clock, lc));
   }
 }
 

@@ -118,7 +118,7 @@ class QuantumNetwork {
   /// nodes coincide, or the nodes are not connected.
   std::vector<Hop> path(std::uint32_t src, std::uint32_t dst) const;
 
-  /// Start every link's MHP cycle clocks.
+  /// Start every link's MHPs, all at this instant.
   void start();
 
   /// Advance the clock. When bound to a shared engine this drives the
@@ -140,6 +140,8 @@ class QuantumNetwork {
   sim::Random random_;
   quantum::QuantumRegistry registry_;
   std::size_t num_nodes_ = 0;
+  /// One MHP cycle clock per distinct mhp_cycle among the links.
+  std::vector<std::unique_ptr<proto::CycleClock>> clocks_;
   std::vector<std::unique_ptr<core::Link>> links_;
 };
 

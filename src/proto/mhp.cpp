@@ -1,5 +1,7 @@
 #include "proto/mhp.hpp"
 
+#include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace qlink::proto {
@@ -11,28 +13,79 @@ using net::PacketType;
 using net::ReplyPacket;
 
 // ---------------------------------------------------------------------------
+// CycleClock
+
+CycleClock::CycleClock(sim::Simulator& simulator, sim::SimTime period)
+    : simulator_(simulator), period_(period) {
+  if (period <= 0) throw std::invalid_argument("CycleClock: period <= 0");
+}
+
+CycleClock::~CycleClock() {
+  if (pending_ != 0) simulator_.cancel(pending_);
+}
+
+void CycleClock::join(NodeMhp& member) {
+  if (pending_ == 0) {
+    arm(simulator_.now());
+  } else if (next_tick_ != simulator_.now()) {
+    throw std::logic_error(
+        "CycleClock: an MHP must start at the instant of the clock's next "
+        "tick");
+  }
+  members_.push_back(&member);
+}
+
+void CycleClock::leave(NodeMhp& member) {
+  std::erase(members_, &member);
+  if (members_.empty() && pending_ != 0) {
+    simulator_.cancel(pending_);
+    pending_ = 0;
+  }
+}
+
+void CycleClock::arm(sim::SimTime at) {
+  next_tick_ = at;
+  pending_ = simulator_.schedule_at(at, [this] { tick(); }, "mhp.cycle");
+}
+
+void CycleClock::tick() {
+  // Re-arm first, as a PeriodicTimer does, so the next tick precedes
+  // anything this cycle schedules for the same instant.
+  arm(next_tick_ + period_);
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    NodeMhp& member = *members_[i];
+    if (!member.dormant_) member.on_cycle();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // NodeMhp
 
-NodeMhp::NodeMhp(sim::Simulator& simulator, std::string name,
-                 std::uint32_t node_id, hw::NvDevice& device,
-                 net::ClassicalChannel& station_link, int link_endpoint,
-                 sim::SimTime cycle_period)
-    : Entity(simulator, std::move(name)),
+NodeMhp::NodeMhp(CycleClock& clock, std::string name, std::uint32_t node_id,
+                 hw::NvDevice& device, net::ClassicalChannel& station_link,
+                 int link_endpoint)
+    : Entity(clock.simulator(), std::move(name)),
+      clock_(clock),
       node_id_(node_id),
       device_(device),
       link_(station_link),
-      endpoint_(link_endpoint),
-      cycle_period_(cycle_period),
-      timer_(simulator, cycle_period, [this] { on_cycle(); }, "mhp.cycle") {
+      endpoint_(link_endpoint) {
   link_.set_receiver(endpoint_,
                      [this](std::vector<std::uint8_t> b) { on_frame(std::move(b)); });
 }
 
-void NodeMhp::start() { timer_.start(); }
-void NodeMhp::stop() { timer_.stop(); }
+NodeMhp::~NodeMhp() {
+  if (started_) clock_.leave(*this);
+}
+
+void NodeMhp::start() {
+  if (started_) return;
+  clock_.join(*this);
+  started_ = true;
+}
 
 std::uint64_t NodeMhp::current_cycle() const {
-  return static_cast<std::uint64_t>(now() / cycle_period_);
+  return static_cast<std::uint64_t>(now() / clock_.period());
 }
 
 void NodeMhp::on_cycle() {
@@ -43,6 +96,7 @@ void NodeMhp::on_cycle() {
   if (device_.busy()) return;
 
   const PollResponse response = poll_();
+  if (response.idle) dormant_ = true;
   if (!response.attempt) return;
 
   // Trigger: initialise the communication qubit and emit. The spin-photon

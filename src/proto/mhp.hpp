@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "hw/herald_model.hpp"
 #include "hw/nv_device.hpp"
@@ -15,11 +16,18 @@
 /// \file mhp.hpp
 /// Physical-layer Midpoint Heralding Protocol (Protocol 1, Section 5.1).
 ///
-/// `NodeMhp` runs at each controllable node: every MHP cycle it polls the
-/// link layer (the EGP) for work, triggers an entanglement attempt when
-/// told to, sends a GEN frame to the station and forwards REPLY frames
-/// back up. It keeps no request state, exactly as the paper demands of
-/// the physical layer.
+/// `NodeMhp` runs at each controllable node: on each MHP cycle it polls
+/// the link layer (the EGP) for work, triggers an entanglement attempt
+/// when told to, sends a GEN frame to the station and forwards REPLY
+/// frames back up. It keeps no request state, exactly as the paper
+/// demands of the physical layer.
+///
+/// `CycleClock` is the cycle: one "mhp.cycle" event per period drives
+/// every started NodeMhp of a simulation world in start order. When the
+/// EGP answers a poll with `idle` (nothing queued, nothing in flight)
+/// the MHP goes dormant: the clock skips it until the EGP's distributed
+/// queue takes an item and wakes it. An idle poll answers "no" with no
+/// side effect, so skipping it changes nothing but the work done.
 ///
 /// `MidpointStation` is the automated node H: it pairs GEN frames by
 /// cycle, verifies the attempt IDs match, samples the heralding outcome
@@ -38,6 +46,8 @@ struct PollResponse {
   bool measure_directly = false;          // M vs K
   quantum::gates::Basis basis = quantum::gates::Basis::kZ;  // M only
   double alpha = 0.1;
+  /// No attempt until work arrives: the MHP may sleep until woken.
+  bool idle = false;
 };
 
 /// RESULT passed from the MHP to the EGP (Protocol 1, step 3).
@@ -46,42 +56,84 @@ struct MhpResult {
   bool local_failure = false;  // GEN_FAIL: never reached the station
 };
 
+class NodeMhp;
+
+/// The MHP cycle of one simulation world at one period: a single
+/// "mhp.cycle" event per period that calls every started, awake member
+/// in start order. Members must start at the instant of the clock's
+/// next tick — the first member's start fixes that instant — so each
+/// member's first cycle is its start time, as with a timer of its own.
+/// The owner of the simulation world owns its clocks (core::Link
+/// standalone, netlayer::QuantumNetwork one per distinct period).
+class CycleClock {
+ public:
+  CycleClock(sim::Simulator& simulator, sim::SimTime period);
+  ~CycleClock();
+
+  CycleClock(const CycleClock&) = delete;
+  CycleClock& operator=(const CycleClock&) = delete;
+
+  sim::Simulator& simulator() noexcept { return simulator_; }
+  sim::SimTime period() const noexcept { return period_; }
+
+ private:
+  friend class NodeMhp;
+  /// Throws std::logic_error off the clock's phase (see class comment).
+  void join(NodeMhp& member);
+  void leave(NodeMhp& member);
+  void arm(sim::SimTime at);
+  void tick();
+
+  sim::Simulator& simulator_;
+  sim::SimTime period_;
+  std::vector<NodeMhp*> members_;  // start order
+  sim::EventId pending_ = 0;       // 0 while no member is started
+  sim::SimTime next_tick_ = 0;
+};
+
 class NodeMhp : public sim::Entity {
  public:
   using PollFn = std::function<PollResponse()>;
   using ResultFn = std::function<void(const MhpResult&)>;
 
-  NodeMhp(sim::Simulator& simulator, std::string name, std::uint32_t node_id,
+  NodeMhp(CycleClock& clock, std::string name, std::uint32_t node_id,
           hw::NvDevice& device, net::ClassicalChannel& station_link,
-          int link_endpoint, sim::SimTime cycle_period);
+          int link_endpoint);
+  ~NodeMhp() override;
 
   /// Wire the link layer in; must be done before start().
   void set_poll_handler(PollFn fn) { poll_ = std::move(fn); }
   void set_result_handler(ResultFn fn) { result_ = std::move(fn); }
 
-  /// Begin the periodic cycle clock (first tick at t=0 offset).
+  /// Join the cycle clock: the first cycle runs now. Idempotent.
   void start();
-  void stop();
+
+  /// Resume polling from the next cycle after an idle poll (the link
+  /// layer calls this when work arrives). Cheap and idempotent.
+  void wake() noexcept { dormant_ = false; }
+  bool dormant() const noexcept { return dormant_; }
 
   std::uint64_t current_cycle() const;
-  sim::SimTime cycle_period() const noexcept { return cycle_period_; }
+  sim::SimTime cycle_period() const noexcept { return clock_.period(); }
   std::uint32_t node_id() const noexcept { return node_id_; }
 
   std::uint64_t attempts_made() const noexcept { return attempts_; }
   std::uint64_t replies_seen() const noexcept { return replies_; }
 
  private:
+  friend class CycleClock;
   void on_cycle();
   void on_frame(std::vector<std::uint8_t> bytes);
 
+  CycleClock& clock_;
   std::uint32_t node_id_;
   hw::NvDevice& device_;
   net::ClassicalChannel& link_;
   int endpoint_;
-  sim::SimTime cycle_period_;
   PollFn poll_;
   ResultFn result_;
-  sim::PeriodicTimer timer_;
+  bool started_ = false;
+  bool dormant_ = false;
   std::uint64_t attempts_ = 0;
   std::uint64_t replies_ = 0;
 };

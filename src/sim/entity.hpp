@@ -45,9 +45,9 @@ class Entity {
   std::string name_;
 };
 
-/// Fires a callback every `period` ns until stopped. Used for the MHP
-/// cycle clock and for periodic maintenance (carbon re-initialisation,
-/// memory advertisements).
+/// Fires a callback every `period` ns until stopped. Used for periodic
+/// maintenance (memory advertisements) and the workload driver's poll;
+/// the MHP cycle is a proto::CycleClock shared by every node.
 class PeriodicTimer {
  public:
   /// \p label (a string literal, or nullptr) tags every tick for the

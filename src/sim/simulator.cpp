@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace qlink::sim {
 
@@ -11,59 +12,85 @@ EventId Simulator::schedule_at(SimTime at, std::function<void()> fn,
                                const char* label) {
   if (at < now_) throw std::invalid_argument("schedule_at: time in the past");
   if (!fn) throw std::invalid_argument("schedule_at: empty function");
-  EventId id = next_id_++;
-  queue_.push(Scheduled{at, next_seq_++, id, label, std::move(fn)});
-  live_.insert(id);
-  if (queue_.size() > heap_high_water_) heap_high_water_ = queue_.size();
-  return id;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.label = label;
+  heap_.push_back(Scheduled{at, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++live_;
+  if (heap_.size() > heap_high_water_) heap_high_water_ = heap_.size();
+  return (static_cast<EventId>(s.generation) << 32) | slot;
 }
 
 bool Simulator::cancel(EventId id) {
-  if (live_.erase(id) == 0) return false;  // already fired or cancelled
-  cancelled_.insert(id);
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto generation = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  // A stale generation means the event fired (or was cancelled and
+  // popped) and the slot may already carry another event.
+  if (s.generation != generation || !s.fn) return false;
+  s.fn = nullptr;  // the heap entry stays until it surfaces
+  --live_;
   return true;
 }
 
+Simulator::Scheduled Simulator::pop_top() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Scheduled top = heap_.back();
+  heap_.pop_back();
+  Slot& s = slots_[top.slot];
+  if (++s.generation == 0) s.generation = 1;  // 0 never names an event
+  free_slots_.push_back(top.slot);
+  return top;
+}
+
 void Simulator::prune_cancelled_top() {
-  while (!queue_.empty() && cancelled_.erase(queue_.top().id) > 0) {
-    queue_.pop();
-  }
+  while (!heap_.empty() && !slots_[heap_.front().slot].fn) pop_top();
 }
 
 SimTime Simulator::next_event_time() {
   prune_cancelled_top();
-  return queue_.empty() ? kNoEventTime : queue_.top().time;
+  return heap_.empty() ? kNoEventTime : heap_.front().time;
 }
 
 bool Simulator::step() {
   prune_cancelled_top();
-  if (queue_.empty()) return false;
-  Scheduled ev = queue_.top();
-  queue_.pop();
-  live_.erase(ev.id);
-  now_ = ev.time;
+  if (heap_.empty()) return false;
+  const Scheduled top = pop_top();
+  Slot& slot = slots_[top.slot];
+  // Move the closure out: the handler may schedule into this very slot.
+  const std::function<void()> fn = std::exchange(slot.fn, nullptr);
+  const char* label = slot.label;
+  --live_;
+  now_ = top.time;
   ++processed_;
   if (telemetry_ || profiler_) {
-    LabelTally& tally = tallies_[ev.label];
+    LabelTally& tally = tallies_[label];
     ++tally.count;
     if (profiler_) {
       const auto t0 = std::chrono::steady_clock::now();
-      ev.fn();
+      fn();
       tally.wall_seconds += std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
       return true;
     }
   }
-  ev.fn();
+  fn();
   return true;
 }
 
 void Simulator::run_until(SimTime t) {
-  for (;;) {
-    prune_cancelled_top();
-    if (queue_.empty() || queue_.top().time > t) break;
-    if (!step()) break;
+  while (next_event_time() <= t && step()) {
   }
   if (now_ < t) now_ = t;
 }

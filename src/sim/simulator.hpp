@@ -3,10 +3,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -20,6 +18,17 @@
 /// Entities (nodes, channels, the heralding station) schedule closures;
 /// the engine never spawns threads, so every run is exactly reproducible.
 ///
+/// Every MHP of a network shares one "mhp.cycle" event per period
+/// (proto::CycleClock), and an MHP whose EGP has nothing to do sleeps
+/// through it, so idle links cost no events of their own.
+///
+/// The event core touches each closure as little as it can: a closure
+/// is moved into a slot when scheduled and moved out when it runs,
+/// never copied. The heap orders small (time, seq, slot) keys, and a
+/// slot's generation makes cancellation an O(1) index check instead of
+/// a hash-set lookup. Cancelled events stay in the heap until they
+/// surface (lazy deletion).
+///
 /// Telemetry (ISSUE 6): events may carry a static label
 /// (schedule_at(at, fn, "mhp.cycle")). With telemetry enabled the
 /// engine counts executed events per label — answering "which event
@@ -32,7 +41,9 @@
 
 namespace qlink::sim {
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled: the slot index
+/// in the low 32 bits, the slot's generation (>= 1) in the high 32, so
+/// a valid id is never 0 and 0 can mean "no event".
 using EventId = std::uint64_t;
 
 class Simulator {
@@ -64,7 +75,8 @@ class Simulator {
   }
 
   /// Cancel a previously scheduled event. Returns false if the event has
-  /// already fired or was cancelled before. O(1).
+  /// already fired or was cancelled before, and for 0 or any id the
+  /// simulator never issued. O(1).
   bool cancel(EventId id);
 
   /// Run a single event. Returns false if the queue is empty.
@@ -82,7 +94,7 @@ class Simulator {
 
   /// Number of events still pending. Exact: cancelled events are
   /// excluded even while their queue slots await lazy removal.
-  std::size_t pending() const noexcept { return live_.size(); }
+  std::size_t pending() const noexcept { return live_; }
 
   /// next_event_time() when no live event is pending.
   static constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
@@ -104,7 +116,8 @@ class Simulator {
   void set_profiler(bool on) noexcept { profiler_ = on; }
   bool profiler() const noexcept { return profiler_; }
 
-  /// Deepest the event heap has ever been (always tracked).
+  /// Deepest the event heap has ever been, cancelled events awaiting
+  /// removal included (always tracked).
   std::size_t heap_high_water() const noexcept { return heap_high_water_; }
 
   struct LabelStat {
@@ -123,12 +136,11 @@ class Simulator {
   std::vector<LabelStat> hottest(std::size_t k) const;
 
  private:
+  /// A heap entry: the order key and the slot holding the closure.
   struct Scheduled {
     SimTime time;
     std::uint64_t seq;  // tie-break: FIFO within a timestamp
-    EventId id;
-    const char* label;
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
 
   struct Later {
@@ -138,26 +150,37 @@ class Simulator {
     }
   };
 
+  /// One scheduled event's closure. A slot is live while `fn` is set;
+  /// it returns to the free list when its heap entry is popped, and
+  /// its generation then advances so ids issued for it go stale.
+  struct Slot {
+    std::function<void()> fn;
+    const char* label = nullptr;
+    std::uint32_t generation = 1;
+  };
+
   struct LabelTally {
     std::uint64_t count = 0;
     double wall_seconds = 0.0;
   };
 
+  /// Pop the heap's top entry and recycle its slot (its closure is
+  /// still in place).
+  Scheduled pop_top();
+
   /// Drop cancelled events sitting at the head of the queue so that
-  /// queue_.top() is always a live event (or the queue is empty).
+  /// heap_.front() is always a live event (or the heap is empty).
   void prune_cancelled_top();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue_;
-  /// Ids scheduled but not yet fired or cancelled.
-  std::unordered_set<EventId> live_;
-  /// Ids cancelled but whose queue slot has not been popped yet; each
-  /// entry is erased when its slot surfaces, so the set stays bounded by
-  /// the queue size.
-  std::unordered_set<EventId> cancelled_;
+  /// Binary min-heap under Later (std::push_heap / std::pop_heap).
+  std::vector<Scheduled> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  /// Events scheduled but not yet fired or cancelled.
+  std::size_t live_ = 0;
 
   bool telemetry_ = false;
   bool profiler_ = false;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/network.hpp"
 #include "quantum/bell.hpp"
 
@@ -288,6 +290,60 @@ TEST_F(EgpTest, DeterministicGivenSeed) {
   const auto r2 = run(4242);
   EXPECT_EQ(r1, r2);
   EXPECT_FALSE(r1.empty());
+}
+
+TEST_F(EgpTest, IdleLinkTicksOncePerPeriodAndSleeps) {
+  Link link(lab_config());
+  link.simulator().set_telemetry(true);
+  link.start();
+  const sim::SimTime cycle = hw::ScenarioParams::lab().mhp_cycle;
+  // Cycle 0: each EGP answers its first poll with "idle" ...
+  link.run_for(0);
+  EXPECT_TRUE(link.mhp_a().dormant());
+  EXPECT_TRUE(link.mhp_b().dormant());
+  // ... and the clock then runs one event per period for both nodes.
+  link.run_for(cycle * 1000);
+  std::uint64_t ticks = 0;
+  for (const auto& stat : link.simulator().label_stats()) {
+    if (stat.label == "mhp.cycle") ticks = stat.count;
+  }
+  EXPECT_EQ(ticks, 1001u);
+  EXPECT_TRUE(link.mhp_a().dormant());
+  EXPECT_TRUE(link.mhp_b().dormant());
+  EXPECT_EQ(link.mhp_a().attempts_made(), 0u);
+  EXPECT_EQ(link.mhp_b().attempts_made(), 0u);
+}
+
+TEST_F(EgpTest, CreateOnDormantLinkAttemptsAtCreateCyclePlusHandshake) {
+  Link link(lab_config());
+  attach(link);
+  link.start();
+  const sim::SimTime cycle = hw::ScenarioParams::lab().mhp_cycle;
+  link.run_for(cycle * 1000 + cycle / 2);
+  EXPECT_TRUE(link.mhp_a().dormant());
+  EXPECT_TRUE(link.mhp_b().dormant());
+  const std::uint64_t create_cycle = link.mhp_a().current_cycle();
+  const auto handshake = static_cast<std::uint64_t>(
+      4 * link.peer_channel().delay() / cycle + 2);
+  link.egp_a().create(measure_request(1));
+
+  // Step to each node's first attempt; a missed wake-up never gets
+  // there.
+  std::optional<std::uint64_t> first_a;
+  std::optional<std::uint64_t> first_b;
+  for (int i = 0; i < 100000 && !(first_a && first_b); ++i) {
+    ASSERT_TRUE(link.simulator().step());
+    if (!first_a && link.mhp_a().attempts_made() > 0) {
+      first_a = link.mhp_a().current_cycle();
+    }
+    if (!first_b && link.mhp_b().attempts_made() > 0) {
+      first_b = link.mhp_b().current_cycle();
+    }
+  }
+  ASSERT_TRUE(first_a.has_value());
+  ASSERT_TRUE(first_b.has_value());
+  EXPECT_EQ(*first_a, create_cycle + handshake);
+  EXPECT_EQ(*first_b, create_cycle + handshake);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "hw/herald_model.hpp"
 #include "hw/nv_device.hpp"
 #include "net/channel.hpp"
@@ -25,8 +27,9 @@ class MhpTest : public ::testing::Test {
         dev_b_(sim_, "nv-b", scenario_.nv, registry_),
         chan_a_(sim_, "a-h", scenario_.delay_a_to_station, random_, 0.0),
         chan_b_(sim_, "b-h", scenario_.delay_b_to_station, random_, 0.0),
-        mhp_a_(sim_, "mhp-a", 0, dev_a_, chan_a_, 0, scenario_.mhp_cycle),
-        mhp_b_(sim_, "mhp-b", 1, dev_b_, chan_b_, 0, scenario_.mhp_cycle),
+        clock_(sim_, scenario_.mhp_cycle),
+        mhp_a_(clock_, "mhp-a", 0, dev_a_, chan_a_, 0),
+        mhp_b_(clock_, "mhp-b", 1, dev_b_, chan_b_, 0),
         station_(sim_, "h", model_, random_, chan_a_, 1, chan_b_, 1,
                  scenario_.mhp_cycle) {
     mhp_a_.set_result_handler(
@@ -67,6 +70,7 @@ class MhpTest : public ::testing::Test {
   hw::NvDevice dev_b_;
   net::ClassicalChannel chan_a_;
   net::ClassicalChannel chan_b_;
+  CycleClock clock_;
   NodeMhp mhp_a_;
   NodeMhp mhp_b_;
   MidpointStation station_;
@@ -257,6 +261,48 @@ TEST_F(MhpTest, CorruptFramesAreIgnored) {
   EXPECT_NO_THROW(sim_.run_all());
   EXPECT_EQ(station_.gen_frames(), 0u);
   EXPECT_EQ(mhp_a_.replies_seen(), 0u);
+}
+
+TEST_F(MhpTest, MembersShareOneCycleEvent) {
+  sim_.set_telemetry(true);
+  mhp_a_.set_poll_handler([] { return PollResponse{}; });
+  mhp_b_.set_poll_handler([] { return PollResponse{}; });
+  mhp_a_.start();
+  mhp_b_.start();
+  sim_.run_until(scenario_.mhp_cycle * 100);
+  ASSERT_EQ(sim_.label_stats().size(), 1u);
+  EXPECT_EQ(sim_.label_stats().front().label, "mhp.cycle");
+  EXPECT_EQ(sim_.label_stats().front().count, 101u);  // cycles 0..100
+}
+
+TEST_F(MhpTest, IdlePollSleepsUntilWoken) {
+  int polls = 0;
+  mhp_a_.set_poll_handler([&polls] {
+    ++polls;
+    PollResponse r;
+    r.idle = true;
+    return r;
+  });
+  mhp_a_.start();
+  sim_.run_until(scenario_.mhp_cycle * 100);
+  EXPECT_EQ(polls, 1);
+  EXPECT_TRUE(mhp_a_.dormant());
+  // Woken, it polls at the next cycle, hears idle again and sleeps.
+  mhp_a_.wake();
+  EXPECT_FALSE(mhp_a_.dormant());
+  sim_.run_until(scenario_.mhp_cycle * 200);
+  EXPECT_EQ(polls, 2);
+  EXPECT_TRUE(mhp_a_.dormant());
+}
+
+TEST_F(MhpTest, StartingOffTheClocksPhaseThrows) {
+  mhp_a_.start();
+  sim_.run_until(scenario_.mhp_cycle / 2);
+  EXPECT_THROW(mhp_b_.start(), std::logic_error);
+  // A cycle boundary whose tick has already run is off phase too: the
+  // member's first cycle could no longer be its start time.
+  sim_.run_until(scenario_.mhp_cycle);
+  EXPECT_THROW(mhp_b_.start(), std::logic_error);
 }
 
 }  // namespace

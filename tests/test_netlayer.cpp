@@ -3,6 +3,7 @@
 #include <cstring>
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -586,6 +587,86 @@ TEST(Router, DrivesRandomTrafficOverGrid) {
   // Admissions either completed, failed, or are still in flight.
   EXPECT_LE(router.stats().completed + router.stats().failed,
             router.stats().admitted);
+}
+
+/// Links sleep and wake: one request on a 3x3 grid, a pause in which
+/// every link goes idle, then three more (one over the links that
+/// slept after the first). The delivery times and the Collector's
+/// counts are pinned to what the simulator produced when every MHP
+/// polled on a timer of its own each cycle, so a change in the order
+/// of same-instant events between links (for example, re-arming each
+/// sleeping MHP's own timer) fails here.
+TEST(Router, GridSleepWakeReplaysPinnedTrajectory) {
+  routing::Graph grid = routing::Graph::grid(3, 3);
+  NetworkConfig nc = routing::make_network_config(
+      grid, core::LinkConfig{}, /*seed=*/13);
+  nc.link.backend = qstate::BackendKind::kBellDiagonal;
+  nc.link.pauli_twirl_installs = true;
+  nc.link.scenario = hw::ScenarioParams::lab();
+  nc.link.scenario.nv.carbon_t2_ns = 0.5e9;
+  nc.link.scenario.nv.carbon_coupling_rad_per_s /= 10.0;
+  QuantumNetwork net(nc);
+  metrics::Collector collector;
+  SwapService swap(net, &collector);
+  routing::RouterConfig rc;
+  rc.cost = routing::CostModel::kHopCount;
+  routing::Router router(grid, swap, rc, &collector);
+  const double menu[] = {0.75};
+  router.annotate_from_network(menu);
+
+  std::vector<E2eOk> delivered;
+  router.set_deliver_handler([&](const E2eOk& ok) {
+    delivered.push_back(ok);
+    swap.release(ok);
+  });
+  const auto request = [](std::uint32_t src, std::uint32_t dst) {
+    E2eRequest req;
+    req.src = src;
+    req.dst = dst;
+    req.link_min_fidelity = 0.75;
+    return req;
+  };
+  const auto run_until_delivered = [&](std::size_t n) {
+    for (int i = 0; i < 1600000 && delivered.size() < n; ++i) {
+      net.run_for(sim::duration::microseconds(100));
+    }
+  };
+
+  net.start();
+  ASSERT_NE(router.submit(request(0, 2)), 0u);
+  run_until_delivered(1);
+  ASSERT_EQ(delivered.size(), 1u);
+  net.run_for(sim::duration::milliseconds(5));
+  for (std::size_t i = 0; i < net.num_links(); ++i) {
+    EXPECT_TRUE(net.link(i).mhp_a().dormant()) << "link " << i;
+    EXPECT_TRUE(net.link(i).mhp_b().dormant()) << "link " << i;
+  }
+  ASSERT_NE(router.submit(request(0, 6)), 0u);
+  ASSERT_NE(router.submit(request(2, 8)), 0u);
+  ASSERT_NE(router.submit(request(0, 2)), 0u);
+  run_until_delivered(4);
+  ASSERT_EQ(delivered.size(), 4u);
+
+  std::vector<std::tuple<std::uint32_t, sim::SimTime, int>> got;
+  double fidelity_sum = 0.0;
+  for (const E2eOk& ok : delivered) {
+    got.emplace_back(ok.request_id, ok.deliver_time, ok.swaps);
+    fidelity_sum += ok.fidelity;
+  }
+  const metrics::Collector::KindMetrics& nl =
+      collector.kind(core::Priority::kNetworkLayer);
+  const std::vector<std::tuple<std::uint32_t, sim::SimTime, int>> pinned = {
+      {1, 93559416, 1},
+      {4, 131317136, 1},
+      {3, 215464936, 1},
+      {2, 335123816, 1}};
+  EXPECT_EQ(got, pinned);
+  EXPECT_EQ(nl.pairs_delivered, 4u);
+  EXPECT_EQ(nl.pair_latency_s.count(), 4u);
+  EXPECT_NEAR(nl.pair_latency_s.mean(), 0.119916326, 1e-12);
+  EXPECT_NEAR(fidelity_sum, 2.1161642431855356, 1e-9);
+  EXPECT_NEAR(nl.fidelity.min(), 0.45594121896275419, 1e-9);
+  EXPECT_NEAR(nl.fidelity.max(), 0.57215224583604352, 1e-9);
 }
 
 }  // namespace
